@@ -34,6 +34,13 @@ def _fill(value, default):
     return default if value is None else value
 
 
+def _at_least(flag, value, low):
+    """value, or a configuration error (exit 2) when it is below low."""
+    if value < low:
+        raise ValueError("%s must be at least %d, got %d" % (flag, low, value))
+    return value
+
+
 def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
     def run():
         r = residual()
@@ -48,7 +55,8 @@ def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
 
 def _verify_commutator(args) -> list[CheckReport]:
     max_q = _fill(args.pmax, 4)
-    Ds = [args.D] if args.D is not None else [2, 3, 4]
+    Ds = ([_at_least("--D", args.D, 1)] if args.D is not None
+          else [2, 3, 4])
     return [
         _zero_check("commutator", {"D": D, "max_q": max_q},
                     lambda D=D: decomposition.commutator_residual(D, max_q))
@@ -72,8 +80,9 @@ def _verify_bch(args) -> list[CheckReport]:
 
 
 def _verify_decomposition(args) -> list[CheckReport]:
-    D = _fill(args.D, 3)
-    K = _fill(args.order, 1)
+    # D = 1 has no intermediate matrix and K = 0 only the constant term
+    D = _at_least("--D", _fill(args.D, 3), 2)
+    K = _at_least("--order", _fill(args.order, 1), 1)
     out = []
 
     def run():
@@ -89,7 +98,7 @@ def _verify_decomposition(args) -> list[CheckReport]:
 
 def _verify_grading(args) -> list[CheckReport]:
     D = _fill(args.D, 3)
-    K = _fill(args.order, 2)
+    K = _at_least("--order", _fill(args.order, 2), 1)
 
     def run():
         expo = decomposition.tensor_free_energy_exponents(D, K)
@@ -116,7 +125,7 @@ def _verify_virasoro(args) -> list[CheckReport]:
 
 
 def _verify_orthopoly(args) -> list[CheckReport]:
-    max_size = _fill(args.nsize, 3)
+    max_size = _at_least("--nsize", _fill(args.nsize, 3), 1)
     order = _fill(args.order, 2)
     out = []
     for size in range(1, max_size + 1):
@@ -220,7 +229,7 @@ def _result(args, payload: dict, text: str) -> int:
 
 
 def _compute_tutte(args) -> int:
-    order = _fill(args.order, 4)
+    order = _at_least("--order", _fill(args.order, 4), 0)
     vals = onematrix.planar_two_point(order)
     return _result(
         args,

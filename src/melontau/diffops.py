@@ -53,17 +53,15 @@ class DiffOp:
     def _admit(self, mono, mults, derivs):
         if mono.times:
             raise ValueError("operator mono factor must be time-free")
+        # apply builds Monomials from these entries without re-checking them
+        for (c, p), e in mults + derivs:
+            if c < 1 or p < 0 or e < 1:
+                raise ValueError("bad time entry %r" % (((c, p), e),))
         if mono.hl > self.trunc.max_hl:
             return False
         if not (self.trunc.z_min <= mono.zexp <= self.trunc.z_max):
             return False
-        for (_c, p), _e in mults:
-            if p > self.trunc.p_max:
-                return False
-        for (_c, p), _e in derivs:
-            if p > self.trunc.p_max:
-                return False
-        return True
+        return all(p <= self.trunc.p_max for (_c, p), _e in mults + derivs)
 
     def add_term(self, coeff, mono=None, mults=(), derivs=()):
         coeff = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
@@ -115,33 +113,51 @@ class DiffOp:
 
     def apply(self, series):
         out = Series(series.trunc)
+        terms = out.terms
+        admits = out.trunc.admits
+        trusted = Monomial._trusted
         for (m, mu, de), c in self.terms.items():
             for sm, sc in series.terms.items():
-                t = dict(sm.times)
+                times = sm.times
                 val = 1
-                dead = False
-                for key, a in de:
-                    e = t.get(key, 0)
-                    if e < a:
-                        dead = True
-                        break
-                    for j in range(a):
-                        val *= e - j
-                    if e == a:
-                        del t[key]
-                    else:
-                        t[key] = e - a
-                if dead:
-                    continue
-                for key, b in mu:
-                    t[key] = t.get(key, 0) + b
+                if de or mu:
+                    t = dict(times)
+                    for key, a in de:
+                        e = t.get(key, 0)
+                        if e < a:
+                            val = 0
+                            break
+                        for j in range(a):
+                            val *= e - j
+                        if e == a:
+                            del t[key]
+                        else:
+                            t[key] = e - a
+                    if not val:
+                        continue
+                    for key, b in mu:
+                        t[key] = t.get(key, 0) + b
+                    times = tuple(sorted(t.items()))
                 h2 = m.h2 + sm.h2
-                coeff = c * sc * val
                 if h2 >= 2:
-                    coeff = coeff * 2
+                    val *= 2
                     h2 -= 2
-                out._put(Monomial(m.hl + sm.hl, m.hn + sm.hn, h2,
-                                  m.zexp + sm.zexp, tuple(t.items())), coeff)
+                mono = trusted(m.hl + sm.hl, m.hn + sm.hn, h2,
+                               m.zexp + sm.zexp, times)
+                if not admits(mono):
+                    continue
+                coeff = c * sc
+                if val != 1:
+                    coeff = coeff * val
+                cur = terms.get(mono)
+                if cur is None:
+                    terms[mono] = coeff
+                else:
+                    cur = cur + coeff
+                    if cur.is_zero():
+                        del terms[mono]
+                    else:
+                        terms[mono] = cur
         return out
 
     def apply_exp(self, series, scale=1):

@@ -26,8 +26,9 @@ ring never tracked.  Shifting in z refuses to silently drop (WindowError),
 because z shifts implement charge factors whose loss would corrupt residues.
 
 Everything is a plain dict keyed by Monomial; values are GaussRat and never
-zero.  Hackability over speed: the acceptance-size computations all run in
-seconds, so there is no clever packing anywhere.
+zero.  A Monomial caches its hash; the public constructor validates, merges
+and sorts its times, while Monomial.mul and DiffOp.apply, whose inputs are
+valid monomials already, build their results unchecked.
 """
 
 from fractions import Fraction
@@ -80,7 +81,7 @@ class Monomial:
     (0, 2)
     """
 
-    __slots__ = ("hl", "hn", "h2", "zexp", "times", "_key")
+    __slots__ = ("hl", "hn", "h2", "zexp", "times", "_key", "_hash")
 
     def __init__(self, hl=0, hn=0, h2=0, zexp=0, times=()):
         if hl < 0:
@@ -92,12 +93,18 @@ class Monomial:
             if c < 1 or p < 0 or e < 1:
                 raise ValueError("bad time entry %r" % (((c, p), e),))
             merged[(c, p)] = merged.get((c, p), 0) + e
-        self.hl = hl
-        self.hn = hn
-        self.h2 = h2
-        self.zexp = zexp
-        self.times = tuple(sorted(merged.items()))
-        self._key = (self.hl, self.hn, self.h2, self.zexp, self.times)
+        _fill(self, hl, hn, h2, zexp, tuple(sorted(merged.items())))
+
+    @classmethod
+    def _trusted(cls, hl, hn, h2, zexp, times):
+        """Monomial from inputs already valid, merged and sorted (no checks).
+
+        Only for callers that build times from valid Monomials' times:
+        Monomial.mul and DiffOp.apply.
+        """
+        m = _object_new(cls)
+        _fill(m, hl, hn, h2, zexp, times)
+        return m
 
     def time_degree(self):
         return sum(e for _, e in self.times)
@@ -105,17 +112,20 @@ class Monomial:
     def time_weight(self):
         return sum(p * e for (_c, p), e in self.times)
 
-    def times_dict(self):
-        return dict(self.times)
-
     def mul(self, other):
         """Product monomial and the integer carry 2**((h2+h2')//2)."""
-        t = dict(self.times)
-        for k, e in other.times:
-            t[k] = t.get(k, 0) + e
+        if not other.times:
+            times = self.times
+        elif not self.times:
+            times = other.times
+        else:
+            t = dict(self.times)
+            for k, e in other.times:
+                t[k] = t.get(k, 0) + e
+            times = tuple(sorted(t.items()))
         h2 = self.h2 + other.h2
-        mono = Monomial(self.hl + other.hl, self.hn + other.hn, h2 % 2,
-                        self.zexp + other.zexp, tuple(t.items()))
+        mono = Monomial._trusted(self.hl + other.hl, self.hn + other.hn,
+                                 h2 & 1, self.zexp + other.zexp, times)
         return mono, (2 if h2 >= 2 else 1)
 
     def is_one(self):
@@ -125,7 +135,7 @@ class Monomial:
         return isinstance(other, Monomial) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __lt__(self, other):
         return self._key < other._key
@@ -146,6 +156,19 @@ class Monomial:
         for (c, p), e in self.times:
             parts.append("t[%d,%d]^%d" % (c, p, e))
         return " * ".join(parts) if parts else "1"
+
+
+_object_new = object.__new__
+
+
+def _fill(m, hl, hn, h2, zexp, times):
+    m.hl = hl
+    m.hn = hn
+    m.h2 = h2
+    m.zexp = zexp
+    m.times = times
+    m._key = key = (hl, hn, h2, zexp, times)
+    m._hash = hash(key)
 
 
 ONE_MONO = Monomial()
@@ -204,6 +227,12 @@ class TruncSpec:
             raise OutsideTruncationError("monomial %s outside %r" % (mono, self))
 
     def meet(self, other):
+        """The intersection box; self itself when the two boxes are equal.
+
+        Series.__add__ relies on that identity to skip re-filtering.
+        """
+        if other is self or other == self:
+            return self
         w = None
         if self.max_time_weight is not None or other.max_time_weight is not None:
             w = min(x for x in (self.max_time_weight, other.max_time_weight)
@@ -540,19 +569,6 @@ class Series:
                 raise ValueError("odd sqrtN power in %s; cannot evaluate" % m)
             val = Fraction(n) ** (m.hn // 2)
             s._put(Monomial(m.hl, 0, m.h2, m.zexp, m.times), c * val)
-        return s
-
-    def eval_lambda(self, lam):
-        """Substitute an exact rational for lambda (= sqrtLam^2).
-
-        Odd sqrtLam powers are refused (they would need sqrt(lam)).
-        """
-        s = Series(self.trunc)
-        for m, c in self.terms.items():
-            if m.hl % 2:
-                raise ValueError("odd sqrtLam power in %s; cannot evaluate" % m)
-            val = Fraction(lam) ** (m.hl // 2)
-            s._put(Monomial(0, m.hn, m.h2, m.zexp, m.times), c * val)
         return s
 
     # -- serialization -----------------------------------------------------

@@ -236,8 +236,8 @@ def moment_index_oracle(word, n):
     covariances over all explicit index assignments in [n]^slots; no cycle
     counting anywhere.
     """
-    word = tuple(p for p in word if p)
     nzeros = sum(1 for p in word if p == 0)
+    word = tuple(p for p in word if p)
     gamma = trace_successor(word)
     nslots = len(gamma)
     if nslots % 2:

@@ -127,6 +127,22 @@ def test_moment_tensor_from_file(tmp_path, capsys):
     assert json.loads(out)["moment"] == {"0": "1", "1": "1"}
 
 
+@pytest.mark.parametrize("argv", [
+    "verify commutator --D 0",
+    "compute tutte --order -1",
+    "verify decomposition --D 1",
+    "verify decomposition --order 0",
+    "verify orthopoly --nsize 0",
+    "verify grading --order 0",
+])
+def test_invalid_or_vacuous_config_exits_2(capsys, argv):
+    *_, flag, _value = argv.split()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "error: %s must be at least" % flag in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nosuch"])

@@ -49,6 +49,32 @@ def test_apply_matches_direct_differentiation():
     assert op.apply(s) == direct
 
 
+def test_apply_sqrt2_carry_and_box():
+    t = TruncSpec(2, 3, 4, (-2, 2))
+    s = (Series(t).add_term(3, hl=1, h2=1, times=(((1, 1), 2),))
+         .add_term(1, hl=2, times=(((1, 1), 1),)))
+    op = DiffOp(t).add_term(Fraction(1, 2), Monomial(h2=1, zexp=1),
+                            mults=(((2, 3), 1),), derivs=(((1, 1), 1),))
+    # the hl=2 term's image has hl=2 still, but d/dt[1,1] t[1,1]^2 = 2 t[1,1]
+    expect = (Series(t)
+              .add_term(Fraction(1, 2) * 3 * 2, hl=1, h2=2, zexp=1,
+                        times=(((1, 1), 1), ((2, 3), 1)))
+              .add_term(Fraction(1, 2), hl=2, h2=1, zexp=1,
+                        times=(((2, 3), 1),)))
+    assert op.apply(s) == expect
+    # a power beyond the z window is dropped from the output
+    far = DiffOp(t).add_term(1, Monomial(zexp=2))
+    assert far.apply(Series(t).add_term(1, zexp=1)).is_zero()
+
+
+@pytest.mark.parametrize("entry", [((0, 1), 1), ((1, -1), 1), ((1, 1), -1)])
+def test_add_term_rejects_bad_time_entries(entry):
+    with pytest.raises(ValueError):
+        DiffOp(T).add_term(1, mults=(entry,))
+    with pytest.raises(ValueError):
+        DiffOp(T).add_term(1, derivs=(entry,))
+
+
 def test_compose_consistent_with_apply():
     a = DiffOp(T).add_term(1, mults=(((1, 1), 1),), derivs=(((1, 2), 1),))
     b = DiffOp(T).add_term(1, mults=(((1, 2), 2),), derivs=(((1, 1), 1),))

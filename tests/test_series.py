@@ -37,6 +37,46 @@ def test_monomial_rejects_unnormalized():
         Monomial(hl=-1)
 
 
+def test_meet_of_equal_boxes_is_self():
+    a = TruncSpec(4, 3, 5, (-2, 2), max_time_weight=7)
+    assert a.meet(a) is a
+    assert a.meet(TruncSpec(4, 3, 5, (-2, 2), max_time_weight=7)) is a
+    b = TruncSpec(4, 3, 5, (-2, 2))
+    assert a.meet(b) is not a and a.meet(b) == a
+
+
+def test_add_with_different_boxes_filters():
+    big, small = TruncSpec(4, 4, 4), TruncSpec(2, 1, 4)
+    a = Series(big).add_term(1, hl=3).add_term(2, hl=1)
+    a.add_term(5, times=(((1, 1), 2),))
+    b = Series(small).add_term(3, hl=1).add_term(4)
+    for total in (a + b, b + a):
+        assert total.trunc == small
+        assert total.sorted_terms() == [(Monomial(), GaussRat(4)),
+                                        (Monomial(hl=1), GaussRat(5))]
+    same = a + a.copy()
+    assert same.trunc is a.trunc
+    assert same == a.scale(2)
+
+
+time_entry = st.tuples(st.tuples(st.integers(1, 3), st.integers(0, 4)),
+                       st.integers(1, 3))
+monomials = st.builds(Monomial, st.integers(0, 3), st.integers(-3, 3),
+                      st.integers(0, 1), st.integers(-3, 3),
+                      st.lists(time_entry, max_size=4))
+
+
+@given(monomials, monomials)
+def test_mul_matches_public_construction(a, b):
+    prod, carry = a.mul(b)
+    h2 = a.h2 + b.h2
+    want = Monomial(a.hl + b.hl, a.hn + b.hn, h2 % 2, a.zexp + b.zexp,
+                    a.times + b.times)
+    assert prod == want and hash(prod) == hash(want)
+    assert prod.times == want.times
+    assert carry == (2 if h2 == 2 else 1)
+
+
 def test_silent_discard_and_query_error():
     t = TruncSpec(2, 2, 3)
     a = Series(t).add_term(1, hl=2)

@@ -51,9 +51,11 @@ def test_index_oracle_all_words_8_slots():
     for w in even_words(8):
         if sum(w) % 2:
             continue
-        poly = hermitian_moment(w, engine="pairing")
-        for n in (1, 2):
-            assert poly.eval(n) == moment_index_oracle(w, n), (w, n)
+        # also with Tr M^0 = Tr 1 = N factors, e.g. (0, 2) and (0, 1, 1)
+        for word in (w, (0,) + w, w + (0, 0)):
+            poly = hermitian_moment(word, engine="pairing")
+            for n in (1, 2):
+                assert poly.eval(n) == moment_index_oracle(word, n), (word, n)
 
 
 def test_odd_words_vanish():
