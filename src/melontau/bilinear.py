@@ -220,7 +220,12 @@ def conjugation_sandwich_residual(mono, D, c=1, sign=1, hl_cap=4, p_ring=4,
 
 
 def basis_monomials(D, deg_max, p_max):
-    """All time monomials over colours 1..D, indices <= p_max (incl. t_0)."""
+    """All time monomials over colours 1..D, indices <= p_max (incl. t_0),
+    of degree <= deg_max.
+
+    >>> len(basis_monomials(2, 2, 1))       # 1 + 4 + C(5, 2) over 4 times
+    15
+    """
     vars_ = [(c, p) for c in range(1, D + 1) for p in range(p_max + 1)]
     out = [Monomial()]
     def rec(start, left, acc):

@@ -28,6 +28,7 @@ from typing import Any
 from . import bilinear, decomposition, onematrix, wick
 from .graphs import ColoredGraph
 from .reports import CheckReport, emit, timed_check
+from .series import USeries
 
 
 def _fill(value, default):
@@ -65,12 +66,12 @@ def _verify_commutator(args) -> list[CheckReport]:
 
 
 def _verify_bch(args) -> list[CheckReport]:
-    order = _fill(args.order, 8)
+    order = _at_least("--order", _fill(args.order, 8), 0)
 
     def run():
         (a, b), (c, d) = decomposition.bch_log_product(order)
-        dsym = decomposition.DSeries([0, 1], order)
-        zero = decomposition.DSeries([], order)
+        dsym = USeries([0, 1], order)
+        zero = USeries([], order)
         gamma = decomposition.bch_gamma(order)
         ok = (a == dsym and c == zero and d == zero and b == gamma
               and gamma == decomposition.bch_gamma_sym(order))
@@ -97,7 +98,8 @@ def _verify_decomposition(args) -> list[CheckReport]:
 
 
 def _verify_grading(args) -> list[CheckReport]:
-    D = _fill(args.D, 3)
+    # the grading rests on the intermediate field, which needs D >= 2
+    D = _at_least("--D", _fill(args.D, 3), 2)
     K = _at_least("--order", _fill(args.order, 2), 1)
 
     def run():
@@ -126,7 +128,7 @@ def _verify_virasoro(args) -> list[CheckReport]:
 
 def _verify_orthopoly(args) -> list[CheckReport]:
     max_size = _at_least("--nsize", _fill(args.nsize, 3), 1)
-    order = _fill(args.order, 2)
+    order = _at_least("--order", _fill(args.order, 2), 0)
     out = []
     for size in range(1, max_size + 1):
         def run(size=size):
@@ -165,7 +167,8 @@ def _verify_hirota(args) -> list[CheckReport]:
 
 
 def _verify_conjugation(args) -> list[CheckReport]:
-    Ds = [args.D] if args.D is not None else [2, 3]
+    # the sandwich needs a colour besides the active one
+    Ds = [_at_least("--D", args.D, 2)] if args.D is not None else [2, 3]
     deg = _fill(args.deg, 2)
     out = []
     for D in Ds:
@@ -188,7 +191,8 @@ def _verify_conjugation(args) -> list[CheckReport]:
 
 
 def _verify_tensor_bilinear(args) -> list[CheckReport]:
-    D = _fill(args.D, 3)
+    # the dressing Yhat is the intermediate field, which needs D >= 2
+    D = _at_least("--D", _fill(args.D, 3), 2)
     K = _fill(args.order, 1)
     nsize = _fill(args.nsize, 1)
     d_ext = _fill(args.deg, 1)
@@ -239,7 +243,8 @@ def _compute_tutte(args) -> int:
 
 
 def _compute_free_energy(args) -> int:
-    order = _fill(args.order, 3)
+    # the output starts at t4^1
+    order = _at_least("--order", _fill(args.order, 3), 1)
     coeffs = onematrix.free_energy_quartic(order)
     payload = {"order": order,
                "coefficients": {str(k + 1): {str(e): str(c)
@@ -310,8 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="concrete matrix size")
     common.add_argument("--zwindow", type=int, default=None,
                         help="half-width override for the z window")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; runs serial")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--file", default=None,
                         help="input file for graph/moment commands ('-' = stdin)")

@@ -35,7 +35,7 @@ from math import factorial
 
 from .diffops import DiffOp
 from .scalars import GaussRat, minus_i_pow
-from .series import Monomial, Series, TruncSpec, fold_h2
+from .series import Monomial, Series, TruncSpec, USeries, fold_h2
 from .wick import (NPoly, hermitian_moment, tensor_moment,
                    tensor_moment_index_oracle, quartic_pattern)
 from .onematrix import z1mm_series
@@ -101,7 +101,7 @@ def direct_tensor_z_oracle(D, order, n):
     return direct_tensor_z(D, order, moments=eng).eval_N(n)
 
 
-def trace_expectation(series, engine="auto"):
+def trace_expectation(series):
     """Replace every t[c,p]^e factor by independent per-colour Gaussian
     trace moments < prod (Tr sigma_c^p)^e >; returns a time-free series."""
     out = Series(series.trunc)
@@ -111,7 +111,7 @@ def trace_expectation(series, engine="auto"):
             words.setdefault(c, []).extend([p] * e)
         poly = NPoly.const(1)
         for word in words.values():
-            poly = poly * hermitian_moment(word, engine=engine)
+            poly = poly * hermitian_moment(word)
             if poly.is_zero():
                 break
         for k, v in poly.c.items():
@@ -222,63 +222,8 @@ def tensor_free_energy_exponents(D, order):
 
 # -- Baker-Campbell-Hausdorff in the faithful 2x2 representation -----------
 #
-# Univariate exact power series in the symbol D, as plain coefficient lists.
-
-
-class DSeries:
-    __slots__ = ("c",)
-
-    def __init__(self, c, order):
-        self.c = [Fraction(x) for x in c[:order + 1]]
-        self.c += [Fraction(0)] * (order + 1 - len(self.c))
-
-    @property
-    def order(self):
-        return len(self.c) - 1
-
-    def __add__(self, o):
-        return DSeries([a + b for a, b in zip(self.c, o.c)], self.order)
-
-    def __sub__(self, o):
-        return DSeries([a - b for a, b in zip(self.c, o.c)], self.order)
-
-    def __mul__(self, o):
-        if isinstance(o, DSeries):
-            out = [Fraction(0)] * (self.order + 1)
-            for i, a in enumerate(self.c):
-                if not a:
-                    continue
-                for j, b in enumerate(o.c[:self.order + 1 - i]):
-                    out[i + j] += a * b
-            return DSeries(out, self.order)
-        return DSeries([a * Fraction(o) for a in self.c], self.order)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, o):
-        return self.c == o.c
-
-    def shift_down(self):
-        """Divide by D (constant term must vanish)."""
-        assert not self.c[0]
-        return DSeries(self.c[1:] + [Fraction(0)], self.order)
-
-    def inverse(self):
-        assert self.c[0]
-        out = [1 / self.c[0]]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += out[k] * self.c[n - k]
-            out.append(-acc / self.c[0])
-        return DSeries(out, self.order)
-
-
-def _d_exp(scale, order):
-    """exp(scale * D) as a DSeries."""
-    half = Fraction(scale)
-    return DSeries([half ** k / factorial(k) for k in range(order + 1)],
-                   order)
+# The entries are USeries in the symbol D with Fraction coefficients;
+# exp(s D) enters through its coefficients s^k / k!.
 
 
 def _m_mul(A, B):
@@ -291,13 +236,19 @@ def _m_mul(A, B):
 def bch_log_product(order=8):
     """Entries of log(e^X e^Y) for X = diag(D, 0), Y = upper-right unit.
 
-    Returns ((a, b), (c, d)) as DSeries; the claim under test is a = D,
+    Returns ((a, b), (c, d)) as USeries; the claim under test is a = D,
     b = D/(1 - e^{-D}), c = d = 0.
+
+    >>> (a, b), (c, d) = bch_log_product(2)
+    >>> a == USeries([0, 1], 2) and c == d == USeries([], 2)
+    True
+    >>> b.c                                  # 1 + D/2 + D^2/12
+    [Fraction(1, 1), Fraction(1, 2), Fraction(1, 12)]
     """
     work = order + 4
-    one = DSeries([1], work)
-    zero = DSeries([], work)
-    eD = _d_exp(1, work)
+    one = USeries([1], work)
+    zero = USeries([], work)
+    eD = USeries([Fraction(1, factorial(k)) for k in range(work + 1)], work)
     P = ((eD, eD), (zero, one))          # e^X e^Y
     V = ((P[0][0] - one, P[0][1]), (P[1][0], P[1][1] - one))
     out = ((zero, zero), (zero, zero))
@@ -307,22 +258,27 @@ def bch_log_product(order=8):
         s = Fraction((-1) ** (k + 1), k)
         out = tuple(tuple(out[i][j] + s * power[i][j] for j in (0, 1))
                     for i in (0, 1))
-    return tuple(tuple(DSeries(e.c, order) for e in row) for row in out)
+    return tuple(tuple(USeries(e.c, order) for e in row) for row in out)
 
 
 def bch_gamma(order=8):
     """D/(1 - e^{-D}) by direct series division."""
     work = order + 2
-    den = DSeries([1], work) - _d_exp(-1, work)      # 1 - e^{-D}, order >= 1
-    gamma = den.shift_down().inverse()               # D/(1-e^{-D})
-    return DSeries(gamma.c, order)
+    one = USeries([1], work)
+    e_minus = USeries([Fraction((-1) ** k, factorial(k))
+                       for k in range(work + 1)], work)
+    den = one - e_minus                              # 1 - e^{-D}, order >= 1
+    gamma = one / den.shift_down()                   # D/(1-e^{-D})
+    return USeries(gamma.c, order)
 
 
 def bch_gamma_sym(order=8):
     """(D/2) e^{D/2} / sinh(D/2), built independently of bch_gamma."""
     work = order + 2
-    ep = _d_exp(Fraction(1, 2), work)
-    em = _d_exp(Fraction(-1, 2), work)
+    ep = USeries([Fraction(1, 2 ** k * factorial(k))
+                  for k in range(work + 1)], work)
+    em = USeries([Fraction((-1) ** k, 2 ** k * factorial(k))
+                  for k in range(work + 1)], work)
     sinh2 = Fraction(1, 2) * (ep - em)               # sinh(D/2): odd, leading D/2
-    val = Fraction(1, 2) * ep * sinh2.shift_down().inverse()
-    return DSeries(val.c, order)
+    val = Fraction(1, 2) * ep / sinh2.shift_down()
+    return USeries(val.c, order)

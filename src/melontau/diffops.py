@@ -42,7 +42,15 @@ def _madd(a, b):
 
 
 class DiffOp:
-    """Normal-ordered operator under a TruncSpec ring restriction."""
+    """Normal-ordered operator under a TruncSpec ring restriction.
+
+    >>> from melontau.series import TruncSpec
+    >>> T = TruncSpec(0, 2, 2)
+    >>> d = DiffOp(T).add_term(1, derivs=(((1, 1), 1),))
+    >>> t = DiffOp(T).add_term(1, mults=(((1, 1), 1),))
+    >>> d.commutator(t) == DiffOp(T).add_term(1)          # [d/dt, t] = 1
+    True
+    """
 
     __slots__ = ("trunc", "terms")
 

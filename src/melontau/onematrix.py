@@ -26,11 +26,11 @@ M -> M + eps M^{n+1}:
 """
 
 from fractions import Fraction
-from itertools import permutations
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import factorial
 
 from .diffops import DiffOp
-from .series import Monomial, Series, TruncSpec
+from .series import Monomial, Series, TruncSpec, USeries
 from .wick import NPoly, hermitian_moment
 
 
@@ -127,106 +127,66 @@ def z1mm_hankel(trunc, colour, nsize):
                                    for p, a in sorted(alpha.items())))
         return s
 
-    entries = {}
-    for i in range(nsize):
-        for j in range(nsize):
-            if (i + j) not in entries:
-                entries[i + j] = mtilde(i + j)
-    det = Series.zero(trunc)
-    for sigma in permutations(range(nsize)):
-        sign = _perm_sign(sigma)
-        term = Series.one(trunc, sign)
-        for i in range(nsize):
-            term = term.mul(entries[i + sigma[i]])
-        det = det + term
-    det0 = Fraction(0)
-    for sigma in permutations(range(nsize)):
-        prod = Fraction(_perm_sign(sigma))
-        for i in range(nsize):
-            prod *= onedim_gaussian_moment(i + sigma[i], nsize)
-        det0 += prod
+    m = [mtilde(k) for k in range(2 * nsize - 1)]
+    det = _det([m[i:i + nsize] for i in range(nsize)], Series.one(trunc))
+    det0 = _det([[onedim_gaussian_moment(i + j, nsize) for j in range(nsize)]
+                 for i in range(nsize)], Fraction(1))
     return det.scale(Fraction(1, 1) / det0).mul(
         _t0_factor(trunc, colour, nsize=nsize))
 
 
-def _perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
+def _det(rows, one):
+    """Leibniz expansion of the determinant of a square matrix whose
+    entries have +, * and unary - (Fraction, Series, USeries); `one` is the
+    unit of their ring and the determinant of the empty matrix.
+
+    >>> _det([[1, 2], [3, 4]], Fraction(1))
+    Fraction(-2, 1)
+    """
+    total = None
+    for sigma in permutations(range(len(rows))):
+        odd = sum(a > b for a, b in combinations(sigma, 2)) % 2
+        term = -one if odd else one
+        for row, j in zip(rows, sigma):
+            term = term * row[j]
+        total = term if total is None else total + term
+    return total
 
 
 # -- quartic free energy and planar two-point ------------------------------
 
 
-def _plist_mul(a, b, order):
-    out = [NPoly() for _ in range(order + 1)]
-    for i, x in enumerate(a):
-        if i > order:
-            break
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] = out[i + j] + x * y
-    return out
+def quartic_z_list(order, insert=()):
+    """[t4^k] of < prod TrM^{insert} exp(-N t4/4 TrM^4) >, unnormalized,
+    as a t4-series with NPoly coefficients.
 
-
-def _plist_log(a, order):
-    """log of a t4-power-series with NPoly coefficients, a[0] = 1."""
-    assert a[0] == NPoly.const(1)
-    u = [NPoly()] + [x for x in a[1:]]
-    out = [NPoly() for _ in range(order + 1)]
-    power = [NPoly.const(1)] + [NPoly() for _ in range(order)]
-    for k in range(1, order + 1):
-        power = _plist_mul(power, u, order)
-        c = Fraction((-1) ** (k + 1), k)
-        for i in range(order + 1):
-            out[i] = out[i] + c * power[i]
-    return out
-
-
-def _plist_div_unit(a, b, order):
-    """a/b for NPoly-coefficient series with b[0] = 1."""
-    assert b[0] == NPoly.const(1)
-    out = []
-    for n in range(order + 1):
-        acc = a[n] if n < len(a) else NPoly()
-        for k in range(n):
-            acc = acc + Fraction(-1) * (out[k] * b[n - k])
-        out.append(acc)
-    return out
-
-
-def quartic_z_list(order, insert=(), engine="auto"):
-    """[t4^k] of < prod TrM^{insert} exp(-N t4/4 TrM^4) >, unnormalized."""
+    >>> quartic_z_list(1).c       # 1 - t4 N/4 <TrM^4>
+    [NPoly(1*N^0), NPoly(-1/4*N^0 + -1/2*N^2)]
+    """
     out = []
     for k in range(order + 1):
         word = list(insert) + [4] * k
         coeff = Fraction((-1) ** k, 4 ** k * factorial(k))
-        out.append(NPoly.N_pow(k, coeff) * hermitian_moment(word, engine))
-    return out
+        out.append(NPoly.N_pow(k, coeff) * hermitian_moment(word))
+    return USeries(out, order, NPoly())
 
 
-def free_energy_quartic(order=3, engine="auto"):
+def free_energy_quartic(order=3):
     """Coefficients [t4^1 .. t4^order] of log Z: exact Laurent polys in N.
 
     Every exponent of N in every coefficient is 2 - 2g for a genus g >= 0;
     the leading t4 term is -N^2/2 - 1/4.
     """
-    return _plist_log(quartic_z_list(order, engine=engine), order)[1:]
+    return quartic_z_list(order).log().c[1:]
 
 
-def planar_two_point(order=4, engine="auto"):
+def planar_two_point(order=4):
     """Signed planar rooted-map counts: N^0 part of (1/N)<Tr M^2>_{t4}.
 
     Returns the t4-coefficients [n=0..order]; their absolute values count
     rooted planar quadrangulation-type maps (1, 2, 9, 54, 378, ...).
     """
-    num = quartic_z_list(order, insert=(2,), engine=engine)
-    den = quartic_z_list(order, engine=engine)
-    ratio = _plist_div_unit(num, den, order)
+    ratio = quartic_z_list(order, insert=(2,)) / quartic_z_list(order)
     # (1/N) * ratio at N^0  ==  ratio at N^1
     return [r.c.get(1, Fraction(0)) for r in ratio]
 
@@ -271,75 +231,37 @@ def virasoro_residual(n, p_ext=4, deg=3, engine="auto"):
 # -- orthogonal polynomials, kernels, Hankel chain -------------------------
 #
 # Everything below works at concrete sizes with t4-power-series represented
-# as plain lists of Fractions, index = power of t4.
-
-
-def _ts_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[:order + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[:order + 1 - i]):
-            out[i + j] += x * y
-    return out
-
-
-def _ts_div(a, b, order):
-    if not b[0]:
-        raise ZeroDivisionError("series division needs invertible constant")
-    out = []
-    for n in range(order + 1):
-        acc = a[n] if n < len(a) else Fraction(0)
-        for k in range(n):
-            acc -= out[k] * b[n - k]
-        out.append(acc / b[0])
-    return out
+# as USeries with Fraction coefficients.
 
 
 def deformed_onedim_moment(l, nweight, order):
     """t4-series of int x^l dmu with dmu = e^{-nweight(x^2/2 + t4 x^4/4)}dx,
     normalized by the t4 = 0 Gaussian mass."""
-    return [Fraction((-nweight) ** k, 4 ** k * factorial(k))
-            * onedim_gaussian_moment(l + 4 * k, nweight)
-            for k in range(order + 1)]
+    return USeries([Fraction((-nweight) ** k, 4 ** k * factorial(k))
+                    * onedim_gaussian_moment(l + 4 * k, nweight)
+                    for k in range(order + 1)], order)
 
 
 def hankel_z(size, nweight, order):
     """Eigenvalue partition function size! det[m_{i+j}] as a t4-series."""
-    if size == 0:
-        return [Fraction(1)] + [Fraction(0)] * order
-    det = [Fraction(0)] * (order + 1)
-    for sigma in permutations(range(size)):
-        term = [Fraction(_perm_sign(sigma))] + [Fraction(0)] * order
-        for i in range(size):
-            term = _ts_mul(term, deformed_onedim_moment(i + sigma[i],
-                                                        nweight, order), order)
-        det = [x + y for x, y in zip(det, term)]
-    f = factorial(size)
-    return [f * x for x in det]
+    m = [deformed_onedim_moment(k, nweight, order)
+         for k in range(2 * size - 1)]
+    return factorial(size) * _det([m[i:i + size] for i in range(size)],
+                                  USeries([1], order))
 
 
 def orthopoly_det(size, nweight, order):
     """Monic orthogonal polynomial of the deformed measure, via the classic
     bordered-Hankel determinant; coefficient list indexed by power of x."""
-    D = [Fraction(0)] * (order + 1)
+    m = [deformed_onedim_moment(k, nweight, order) for k in range(2 * size)]
+    one = USeries([1], order)
     minors = []
     for j in range(size + 1):
         cols = [c for c in range(size + 1) if c != j]
-        m = [Fraction(0)] * (order + 1)
-        for sigma in permutations(range(size)):
-            term = [Fraction(_perm_sign(sigma))] + [Fraction(0)] * order
-            for i in range(size):
-                term = _ts_mul(term, deformed_onedim_moment(
-                    i + cols[sigma[i]], nweight, order), order)
-            m = [x + y for x, y in zip(m, term)]
-        minors.append(m)
+        minors.append(_det([[m[i + c] for c in cols] for i in range(size)],
+                           one))
     D = minors[size]                  # delete column `size`: the Hankel det
-    coeffs = []
-    for j in range(size + 1):
-        sign = (-1) ** (size + j)
-        coeffs.append(_ts_div([sign * x for x in minors[j]], D, order))
-    return coeffs
+    return [(-1) ** (size + j) * minors[j] / D for j in range(size + 1)]
 
 
 # symmetric-function bridge: e_k out of power sums (Newton's identities)
@@ -358,58 +280,49 @@ def _elementary_in_power_sums(kmax):
     return es
 
 
-def charpoly_expectation(size, order, engine="auto"):
+def charpoly_expectation(size, order):
     """< det(x - M) > in the quartic-deformed ensemble of matching size.
 
-    Returns coefficient lists per power of x (t4-series, monic in x^size).
-    The ensemble size and the N in the weight are both `size`.
+    Returns t4-series per power of x (monic in x^size).  The ensemble size
+    and the N in the weight are both `size`.
     """
+    def at_size(insert=()):
+        return USeries([p.eval(size) for p in quartic_z_list(order, insert)],
+                       order)
+
     es = _elementary_in_power_sums(size)
     raw = []
     for k in range(size + 1):
-        acc = [Fraction(0)] * (order + 1)
+        acc = USeries([], order)
         for word, coeff in es[k].items():
-            for m in range(order + 1):
-                mom = hermitian_moment(list(word) + [4] * m, engine)
-                acc[m] += coeff * Fraction((-size) ** m,
-                                           4 ** m * factorial(m)) * mom.eval(size)
+            acc = acc + coeff * at_size(word)
         raw.append(acc)
-    z = [Fraction((-size) ** m, 4 ** m * factorial(m))
-         * hermitian_moment([4] * m, engine).eval(size)
-         for m in range(order + 1)]
-    out = []
-    for j in range(size + 1):          # x^j carries (-1)^(size-j) e_{size-j}
-        ek = _ts_div(raw[size - j], z, order)
-        out.append([(-1) ** (size - j) * x for x in ek])
-    return out
+    z = at_size()
+    # x^j carries (-1)^(size-j) e_{size-j}
+    return [(-1) ** (size - j) * (raw[size - j] / z) for j in range(size + 1)]
 
 
-def orthogonality_residual(size, order, engine="auto"):
+def orthogonality_residual(size, order):
     """int P_size(x) x^M dmu for M = 0..size-1, P from the charpoly route.
 
     All returned t4-series must vanish identically: <det(x-M)> is the monic
     orthogonal polynomial of the eigenvalue measure of the same ensemble.
     """
-    P = charpoly_expectation(size, order, engine)
-    out = []
-    for M in range(size):
-        r = [Fraction(0)] * (order + 1)
-        for j in range(size + 1):
-            r = [x + y for x, y in zip(
-                r, _ts_mul(P[j], deformed_onedim_moment(j + M, size, order),
-                           order))]
-        out.append(r)
-    return out
+    P = charpoly_expectation(size, order)
+    return [_integrate(P, M, size, order) for M in range(size)]
 
 
 def kernel_norm(size, nweight, order):
     """K_size = int P_size^2 dmu = int P_size x^size dmu (monic)."""
-    P = orthopoly_det(size, nweight, order)
-    out = [Fraction(0)] * (order + 1)
-    for j in range(size + 1):
-        out = [x + y for x, y in zip(
-            out, _ts_mul(P[j], deformed_onedim_moment(j + size, nweight,
-                                                      order), order))]
+    return _integrate(orthopoly_det(size, nweight, order), size, nweight,
+                      order)
+
+
+def _integrate(P, M, nweight, order):
+    """int P(x) x^M dmu for P given by its t4-series per power of x."""
+    out = USeries([], order)
+    for j, pj in enumerate(P):
+        out = out + pj * deformed_onedim_moment(j + M, nweight, order)
     return out
 
 
@@ -421,15 +334,11 @@ def hankel_chain_residuals(max_size, nweight, order):
     """
     zs = [hankel_z(s, nweight, order) for s in range(max_size + 1)]
     ks = [kernel_norm(s, nweight, order) for s in range(max_size)]
-    step = []
-    for s in range(max_size):
-        rhs = _ts_mul(ks[s], zs[s], order)
-        rhs = [(s + 1) * x for x in rhs]
-        step.append([a - b for a, b in zip(zs[s + 1], rhs)])
+    step = [zs[s + 1] - (s + 1) * (ks[s] * zs[s]) for s in range(max_size)]
     closed = []
     for s in range(1, max_size + 1):
-        prod = [Fraction(factorial(s))] + [Fraction(0)] * order
+        prod = USeries([factorial(s)], order)
         for i in range(s):
-            prod = _ts_mul(prod, ks[i], order)
-        closed.append([a - b for a, b in zip(zs[s], prod)])
+            prod = prod * ks[i]
+        closed.append(zs[s] - prod)
     return step, closed

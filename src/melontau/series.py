@@ -29,6 +29,10 @@ Everything is a plain dict keyed by Monomial; values are GaussRat and never
 zero.  A Monomial caches its hash; the public constructor validates, merges
 and sorts its times, while Monomial.mul and DiffOp.apply, whose inputs are
 valid monomials already, build their results unchecked.
+
+USeries, at the end of the module, is the one-variable truncated series:
+a coefficient list indexed by power, over Fraction or NPoly.  The one-matrix
+checks at concrete size and the 2x2 BCH closed form use it.
 """
 
 from fractions import Fraction
@@ -649,3 +653,110 @@ def parse_series(text, trunc):
         s.add_term(coeff, hl=hl, hn=hn, h2=h2, zexp=zexp,
                    times=tuple(times.items()))
     return s
+
+
+class USeries:
+    """Truncated power series c[0] + c[1] x + ... + c[order] x^order in one
+    variable x, with exact coefficients: Fractions, or NPolys in N.
+
+    A sum, product or quotient keeps the smaller order of its two operands.
+    The constructor promotes ints through `zero`, the zero of the
+    coefficient ring, and pads the list with it up to the order.
+
+    >>> x = USeries([0, 1], 3)
+    >>> one = USeries([1], 3)
+    >>> e = USeries([1, 1, Fraction(1, 2), Fraction(1, 6)], 3)    # exp(x)
+    >>> e.log() == x
+    True
+    >>> (one / (one - x)).c                                       # 1/(1-x)
+    [Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)]
+    >>> ((x * e).shift_down() - e).c          # x*e lost the x^3 term of e
+    [Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(-1, 6)]
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c, order, zero=Fraction(0)):
+        if order < 0:
+            raise ValueError("series order must be >= 0, got %d" % order)
+        c = [zero + x for x in c[:order + 1]]
+        self.c = c + [zero] * (order + 1 - len(c))
+
+    @property
+    def order(self):
+        return len(self.c) - 1
+
+    def _like(self, c):
+        """The series with coefficient list c, already in self's ring."""
+        out = object.__new__(USeries)
+        out.c = c
+        return out
+
+    def __getitem__(self, k):
+        return self.c[k]
+
+    def __iter__(self):
+        return iter(self.c)
+
+    def __eq__(self, other):
+        return isinstance(other, USeries) and self.c == other.c
+
+    def __repr__(self):
+        return "USeries(%r)" % (self.c,)
+
+    def __add__(self, other):
+        return self._like([a + b for a, b in zip(self.c, other.c)])
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        """Series product, or the product with a scalar coefficient."""
+        if not isinstance(other, USeries):
+            return self._like([a * other for a in self.c])
+        n = min(self.order, other.order)
+        zero = self.c[0] * 0
+        out = [zero] * (n + 1)
+        for i, a in enumerate(self.c[:n + 1]):
+            if a == zero:
+                continue
+            for j, b in enumerate(other.c[:n + 1 - i]):
+                out[i + j] = out[i + j] + a * b
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """self / other; the constant term of other must be invertible."""
+        inv = 1 / other.c[0]
+        out = []
+        for n in range(min(self.order, other.order) + 1):
+            acc = self.c[n]
+            for k in range(n):
+                acc = acc + out[k] * other.c[n - k] * -1
+            out.append(acc * inv)
+        return self._like(out)
+
+    def log(self):
+        """log of a series whose constant term is 1."""
+        one = self.c[0]
+        zero = one * 0
+        if one * one != one or one == zero:   # 1 is the nonzero idempotent
+            raise ValueError("log needs constant term 1, got %r" % (one,))
+        u = USeries([zero] + self.c[1:], self.order, zero)
+        out = USeries([], self.order, zero)
+        power = USeries([one], self.order, zero)
+        for k in range(1, self.order + 1):
+            power = power * u
+            out = out + power * Fraction((-1) ** (k + 1), k)
+        return out
+
+    def shift_down(self):
+        """Divide by x; the constant term must vanish."""
+        zero = self.c[0] * 0
+        if self.c[0] != zero:
+            raise ValueError("shift_down needs constant term 0")
+        return self._like(self.c[1:] + [zero])

@@ -82,6 +82,13 @@ class NPoly:
 
     __rmul__ = __mul__
 
+    def __rtruediv__(self, other):
+        """other / self for a unit self, a single term v*N^k."""
+        if len(self.c) != 1:
+            raise ZeroDivisionError("%r is not invertible" % (self,))
+        (k, v), = self.c.items()
+        return NPoly({-k: Fraction(other) / v})
+
     def __eq__(self, other):
         return isinstance(other, NPoly) and self.c == other.c
 

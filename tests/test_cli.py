@@ -63,9 +63,11 @@ def test_shallow_zwindow_is_config_error(capsys):
     assert "window" in err
 
 
-def test_threads_flag_accepted(capsys):
-    code, _, _ = run_cli(capsys, "verify", "bch", "--threads", "4")
-    assert code == 0
+def test_threads_flag_rejected():
+    # the flag never did anything and is gone: argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bch", "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_compute_tutte(capsys):
@@ -134,6 +136,12 @@ def test_moment_tensor_from_file(tmp_path, capsys):
     "verify decomposition --order 0",
     "verify orthopoly --nsize 0",
     "verify grading --order 0",
+    "verify bch --order -1",
+    "verify orthopoly --order -1",
+    "compute free-energy --order 0",
+    "verify grading --D 1",
+    "verify conjugation --D 1",
+    "verify tensor-bilinear --D 1",
 ])
 def test_invalid_or_vacuous_config_exits_2(capsys, argv):
     *_, flag, _value = argv.split()

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from melontau.scalars import GaussRat
-from melontau.series import Monomial, Series, TruncSpec
-from melontau.decomposition import (DSeries, bch_gamma, bch_gamma_sym,
+from melontau.series import Monomial, Series, TruncSpec, USeries
+from melontau.decomposition import (bch_gamma, bch_gamma_sym,
                                     bch_log_product, build_X, build_Y,
                                     commutator_residual,
                                     decomposition_residuals,
@@ -139,9 +139,9 @@ BERNOULLI_PLUS = [Fraction(1), Fraction(1, 2), Fraction(1, 12), Fraction(0),
 
 def test_matrix_rep_is_faithful():
     order = 4
-    one = DSeries([1], order)
-    zero = DSeries([], order)
-    dsym = DSeries([0, 1], order)
+    one = USeries([1], order)
+    zero = USeries([], order)
+    dsym = USeries([0, 1], order)
     X = ((dsym, zero), (zero, zero))
     Y = ((zero, one), (zero, zero))
     from melontau.decomposition import _m_mul
@@ -155,8 +155,8 @@ def test_matrix_rep_is_faithful():
 
 def test_bch_log_product_structure():
     (a, b), (c, d) = bch_log_product(order=8)
-    dsym = DSeries([0, 1], 8)
-    zero = DSeries([], 8)
+    dsym = USeries([0, 1], 8)
+    zero = USeries([], 8)
     assert a == dsym          # X part comes back unrenormalized
     assert c == zero and d == zero
     assert b == bch_gamma(8)  # Y part is D/(1 - e^{-D})

@@ -27,3 +27,4 @@ def test_doctests():
     for mod in MODULES:
         result = doctest.testmod(mod)
         assert result.failed == 0, mod.__name__
+        assert result.attempted >= 1, mod.__name__

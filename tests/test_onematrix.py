@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from melontau.diffops import DiffOp
 from melontau.series import Monomial, Series, TruncSpec
 from melontau.wick import NPoly
 from melontau.onematrix import (charpoly_expectation, deformed_onedim_moment,
@@ -98,6 +99,33 @@ def test_virasoro_full_enumeration_instance():
     assert virasoro_residual(2, p_ext=2, deg=2, engine="pairing").is_zero()
 
 
+def _virasoro_groups(n, ring):
+    """L_n split into its N^-2 double-derivative terms, its d/dt_{n+2} term
+    and its p t_p d/dt_{p+n} terms."""
+    groups = [DiffOp(ring) for _ in range(3)]
+    for (mono, mults, derivs), c in virasoro_op(n, ring).terms.items():
+        groups[2 if mults else 0 if mono.hn else 1].add_term(c, mono, mults,
+                                                             derivs)
+    return groups
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+@pytest.mark.parametrize("p_ext,deg", [(2, 2), (3, 2), (4, 3)])
+def test_virasoro_inner_ring_is_large_enough(n, p_ext, deg):
+    # the inner ring documented in virasoro_residual, then every cap + 1:
+    # each term group of L_n Z must restrict to the same box coefficients
+    box = TruncSpec(0, deg, p_ext)
+    seen = []
+    for bump in (0, 1):
+        ring = TruncSpec(bump, deg + 2 + bump, p_ext + max(n, 0) + 2 + bump,
+                         max_time_weight=p_ext * deg + max(n, 0) + 2 + bump)
+        z = z1mm_series(ring, engine="recursion")
+        seen.append([g.apply(z).restrict(box).serialize()
+                     for g in _virasoro_groups(n, ring)])
+    assert seen[0] == seen[1]
+    assert any(seen[0])
+
+
 def test_virasoro_detects_wrong_operator():
     # negative control: breaking the d_{t_{n+2}} coefficient must show up
     n, p_ext, deg = 0, 2, 2
@@ -127,7 +155,7 @@ def test_onedim_moments():
 def test_charpoly_known_p2():
     P = charpoly_expectation(2, 1)
     assert P[2][0] == 1                      # monic
-    assert P[1] == [Fraction(0), Fraction(0)]
+    assert P[1].c == [Fraction(0), Fraction(0)]
     assert P[0][0] == Fraction(-1, 2)        # x^2 - 1/2 at t4 = 0
 
 

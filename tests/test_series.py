@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from melontau.scalars import GaussRat
 from melontau.series import (Monomial, NilpotencyError, OutsideTruncationError,
-                             Series, TruncSpec, WindowError, parse_series)
+                             Series, TruncSpec, USeries, WindowError,
+                             parse_series)
+from melontau.wick import NPoly
 
 
 T = TruncSpec(6, 6, 6, (-8, 8))
@@ -211,3 +213,94 @@ def test_restrict_idempotent(a):
     t = TruncSpec(1, 1, 1)
     assert a.restrict(t).restrict(t) == a.restrict(t)
     assert a.restrict(T) == a
+
+
+# -- USeries: one-variable truncated series over Fraction or NPoly ---------
+
+K = 4
+small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero_frac = small_frac.filter(bool)
+
+# ring name -> (zero, one, coefficient strategy, strategy of units)
+RINGS = {
+    "Fraction": (Fraction(0), Fraction(1), small_frac, nonzero_frac),
+    "NPoly": (NPoly(), NPoly.const(1),
+              st.dictionaries(st.integers(-2, 2), small_frac,
+                              max_size=3).map(NPoly),
+              st.builds(lambda k, v: NPoly({k: v}), st.integers(-2, 2),
+                        nonzero_frac)),
+}
+
+
+def useries_st(ring, const=None):
+    """USeries of order K over the ring; const fixes the constant term."""
+    zero, _one, coeff, _unit = RINGS[ring]
+    first = st.just(const) if const is not None else coeff
+    return st.builds(lambda c0, rest: USeries([c0] + rest, K, zero),
+                     first, st.lists(coeff, min_size=K, max_size=K))
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_useries_ring_laws(ring, data):
+    zero, one, _coeff, _unit = RINGS[ring]
+    a, b, c = (data.draw(useries_st(ring)) for _ in range(3))
+    z, u = USeries([], K, zero), USeries([one], K, zero)
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + z == a and a * u == a and a - a == z
+    assert a * 3 == a + a + a and 3 * a == a * 3
+    assert [x for x in a] == a.c and a[K] == a.c[K]
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_useries_division_undoes_product(ring, data):
+    unit = data.draw(RINGS[ring][3])
+    a = data.draw(useries_st(ring))
+    b = data.draw(useries_st(ring, const=unit))
+    assert (a * b) / b == a
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_useries_log_of_product(ring, data):
+    zero, one, _coeff, _unit = RINGS[ring]
+    a, b = (data.draw(useries_st(ring, const=one)) for _ in range(2))
+    assert (a * b).log() == a.log() + b.log()
+    assert a.log()[0] == zero
+    # log(1 + x) = x - x^2/2 + x^3/3 - ...
+    assert USeries([one, one], K, zero).log() == USeries(
+        [zero] + [one * Fraction((-1) ** (k + 1), k) for k in range(1, K + 1)],
+        K, zero)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_useries_shift_down_undoes_x(ring, data):
+    zero, one, _coeff, _unit = RINGS[ring]
+    a = data.draw(useries_st(ring))
+    x = USeries([zero, one], K, zero)
+    # x*a keeps a up to x^(K-1); its top coefficient is lost to truncation
+    assert (x * a).shift_down() == USeries(a.c[:K], K, zero)
+
+
+def test_useries_rejects_what_it_cannot_do():
+    x = USeries([0, 1], 2)
+    two = USeries([2, 1], 2)
+    with pytest.raises(ValueError):
+        two.log()
+    with pytest.raises(ValueError):
+        two.shift_down()
+    with pytest.raises(ZeroDivisionError):
+        two / x
+    with pytest.raises(ZeroDivisionError):
+        USeries([NPoly({0: 1, 2: 1})], 2, NPoly()) / \
+            USeries([NPoly({0: 1, 2: 1})], 2, NPoly())
+    with pytest.raises(ValueError):
+        USeries([], -1)
