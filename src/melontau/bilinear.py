@@ -54,6 +54,21 @@ the sandwich.
 
 The deformed bilinear applies the dressed operators to e^{Y} prod_c Z^{(c)}
 with all times alive and takes the same boxed residue.
+
+One pipeline
+------------
+Every factor above (the equal-size V_+-, the dressed tensor vertex, the
+undeformed factor of the K = 0 reduction and both sides of the sandwich)
+runs one chain, _vertex: e^{-+B}, the optional middle factor e^{-+[A,Y]},
+the charge z^{-+N}, restriction to the output box, then e^{+-aA} built on
+that box.  A caller only picks the ring (_hirota_ring, _tensor_ring), the
+output box, B (symbolic or concrete N) and the middle factor.
+
+Only the residue is box-exact, not each factor: a factor's deep-z terms
+are clipped by the ring's weight cap and change when the ring grows, while
+the terms that can pair to z^{-1} in the output box do not.  The tests
+recompute the equal-size and the deformed residue in a ring with every
+cap raised by 1.
 """
 
 from fractions import Fraction
@@ -61,38 +76,32 @@ from fractions import Fraction
 from .diffops import DiffOp
 from .scalars import GaussRat
 from .series import Monomial, Series, TruncSpec, WindowError
-from .decomposition import _compositions, build_Y
+from .decomposition import build_Y
 from .onematrix import z1mm_series
 
 
 # -- operator builders -----------------------------------------------------
 
 
-def build_A(c, trunc, scale=1, n_max=None):
-    """A^c = scale * sum_{n=0}^{n_max} z^n t^c_n as a multiplication op."""
+def build_A(c, trunc, scale=1):
+    """A^c = scale * sum_{n=0}^{p_max} z^n t^c_n as a multiplication op."""
     op = DiffOp(trunc)
-    n_max = trunc.p_max if n_max is None else n_max
-    for n in range(n_max + 1):
+    for n in range(trunc.p_max + 1):
         op.add_term(GaussRat(Fraction(scale)), Monomial(zexp=n),
                     mults=(((c, n), 1),))
     return op
 
 
-def build_B_sym(c, trunc):
-    """B^c = sum_{n>=1} (z^{-n}/n) N^{-1} d/dt^c_n, N symbolic."""
+def build_B(c, trunc, nsize=None):
+    """B^c = sum_{n>=1} (z^{-n}/n) N^{-1} d/dt^c_n; nsize=None keeps N
+    symbolic (N^{-1} = sqrtN^{-2}), as in z1mm_series."""
     op = DiffOp(trunc)
     for n in range(1, trunc.p_max + 1):
-        op.add_term(GaussRat(Fraction(1, n)), Monomial(hn=-2, zexp=-n),
-                    derivs=(((c, n), 1),))
-    return op
-
-
-def build_B_concrete(c, trunc, nsize):
-    """Same with the concrete size substituted."""
-    op = DiffOp(trunc)
-    for n in range(1, trunc.p_max + 1):
-        op.add_term(GaussRat(Fraction(1, n * nsize)), Monomial(zexp=-n),
-                    derivs=(((c, n), 1),))
+        if nsize is None:
+            coeff, mono = Fraction(1, n), Monomial(hn=-2, zexp=-n)
+        else:
+            coeff, mono = Fraction(1, n * nsize), Monomial(zexp=-n)
+        op.add_term(GaussRat(coeff), mono, derivs=(((c, n), 1),))
     return op
 
 
@@ -102,29 +111,14 @@ def closed_form_AY(D, c, trunc, colours=None, scale=1):
         colours = tuple(range(1, D + 1))
     if c not in colours:
         raise ValueError("active colour must be one of the colours")
-    pos = colours.index(c)
-    Y = build_Y(D, trunc, colours)
     op = DiffOp(trunc)
-    for total in range(1, trunc.max_hl + 1):
-        for q in _compositions(total, D):
-            # reuse Y's exact coefficient for the tuple, then strip the
-            # colour-c derivative and attach z^{q_c} and the minus sign
-            derivs = {}
-            for cc, qc in zip(colours, q):
-                derivs[(cc, qc)] = derivs.get((cc, qc), 0) + 1
-            key = None
-            for (m0, mu0, de0), coeff0 in Y.terms.items():
-                if mu0 == () and dict(de0) == derivs and m0.hl == total:
-                    key = (m0, coeff0)
-                    break
-            assert key is not None
-            m0, coeff0 = key
-            derivs[(c, q[pos])] -= 1
-            if not derivs[(c, q[pos])]:
-                del derivs[(c, q[pos])]
-            op.add_term(coeff0 * GaussRat(Fraction(-scale)),
-                        Monomial(m0.hl, m0.hn, m0.h2, m0.zexp + q[pos]),
-                        derivs=tuple(derivs.items()))
+    for (m, _mu, de), coeff in build_Y(D, trunc, colours).terms.items():
+        # each Y term carries one derivative d/dt[cc, q_cc] per colour:
+        # strip the colour-c one and attach z^{q_c} and the minus sign
+        (q_c,) = [p for (cc, p), _e in de if cc == c]
+        op.add_term(coeff * GaussRat(Fraction(-scale)),
+                    Monomial(m.hl, m.hn, m.h2, m.zexp + q_c),
+                    derivs=tuple(d for d in de if d[0][0] != c))
     return op
 
 
@@ -147,7 +141,7 @@ def dressing_op_residuals(D, c=1, max_q=4, p_ring=4):
     colours = tuple(range(1, D + 1))
     A = build_A(c, trunc)
     Y = build_Y(D, trunc, colours)
-    B = build_B_sym(c, trunc)
+    B = build_B(c, trunc)
     AY = A.commutator(Y)
     big = TruncSpec(2 * max_q, 0, p_ring, (-win, win))
     return {
@@ -166,29 +160,64 @@ def charge_commutes_with_Y(D, nsize=2, max_q=3):
     return charge.commutator(build_Y(D, trunc))
 
 
-# -- conjugation sandwich on basis monomials -------------------------------
+# -- the vertex-factor pipeline --------------------------------------------
 
 
-def _apply_vertex_core(series, c, D, sign, trunc, with_middle, colours=None):
-    """e^{sign A} [e^{-sign [A,Y]}] e^{-sign B} on `series` (no charge).
+def _vertex(s, sign, c, B, box, a_val=1, middle=None, charge=0):
+    """e^{sign a A^c} restrict_box z^charge e^{-sign middle} e^{-sign B} s.
 
-    The symbolic-N vertex at scale 1, literal operator ordering: B first.
+    The one vertex chain behind every bilinear factor, applied rightmost
+    first in the ring of s.  middle (the dressing [A^c, Y]) and the charge
+    are optional; the restriction to the output box is skipped when box is
+    the ring itself, and A^c is built on box.  Raises WindowError when a
+    term of the result sits on the z boundary: clipped partners could then
+    have cancelled it.
     """
-    B = build_B_sym(c, trunc)
-    out = B.apply_exp(series, scale=-sign)
-    if with_middle:
-        mid = closed_form_AY(D, c, trunc, colours=colours)
-        out = mid.apply_exp(out, scale=-sign)
-    a_ser = Series(trunc)
-    for n in range(trunc.p_max + 1):
-        a_ser.add_term(Fraction(sign), zexp=n, times=(((c, n), 1),))
-    return a_ser.exp_trunc().mul(out)
+    u = B.apply_exp(s, scale=-sign)
+    if middle is not None:
+        u = middle.apply_exp(u, scale=-sign)
+    if charge:
+        u = u.shift_z(charge)
+    if box != u.trunc:
+        u = u.restrict(box)
+    out = build_A(c, box, scale=sign * a_val).apply_exp(u)
+    for m in out.terms:
+        if m.zexp in (box.z_min, box.z_max):
+            raise WindowError("bilinear factor touches the z boundary")
+    return out
+
+
+def _out_box(ring, d_ext, p_ext):
+    """The verified output box of a bilinear factor computed in ring."""
+    return TruncSpec(ring.max_hl, d_ext, p_ext, (ring.z_min, ring.z_max))
+
+
+def _hirota_ring(d_ext, p_ext, half):
+    """The equal-size ring: indices <= P, degree <= d + P, weight
+    <= d*p_ext + P, z window [-half, half]."""
+    P = d_ext * p_ext + 1
+    return TruncSpec(0, d_ext + P, P, (-half, half),
+                     max_time_weight=2 * d_ext * p_ext + 1)
+
+
+def _tensor_ring(D, K, nsize, d_ext, p_ext):
+    """The deformed ring: 2K more B-weight, sqrtLam degree 2K and room for
+    the e^{Y} degree drop of 2K letters per colour."""
+    P = d_ext * p_ext + 1 + 2 * K
+    W = d_ext * p_ext + P + 4 * K * K + 2
+    degR = P + 2 * K * D + d_ext + 2
+    win = max(d_ext * P + 2 * K, W) + nsize + 2
+    return TruncSpec(2 * K, degR, P, (-win, win), max_time_weight=W)
+
+
+# -- conjugation sandwich on basis monomials -------------------------------
 
 
 def conjugation_sandwich_residual(mono, D, c=1, sign=1, hl_cap=4, p_ring=4,
                                   deg_extra=2):
     """e^{Y} V^c e^{-Y} (m) minus the dressed closed form applied to m.
 
+    Both sides run the symbolic-N vertex at scale 1 without the charge.
     Output compared on degrees <= deg(m) + deg_extra.  The sandwich route
     runs in a ring enlarged by D * k_max more degrees, where k_max = the
     least non-active-colour letter count of m — the only supply the final
@@ -210,12 +239,13 @@ def conjugation_sandwich_residual(mono, D, c=1, sign=1, hl_cap=4, p_ring=4,
     s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
                              zexp=mono.zexp, times=mono.times)
     u = Y_L.apply_exp(s, scale=-1)
-    u = _apply_vertex_core(u, c, D, sign, t_L, with_middle=False)
+    u = _vertex(u, sign, c, build_B(c, t_L), t_L)
     lhs = Y_L.apply_exp(u).restrict(t_R)
 
     s2 = Series(t_R).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
                               zexp=mono.zexp, times=mono.times)
-    rhs = _apply_vertex_core(s2, c, D, sign, t_R, with_middle=True)
+    rhs = _vertex(s2, sign, c, build_B(c, t_R), t_R,
+                  middle=closed_form_AY(D, c, t_R, colours=colours))
     return lhs - rhs
 
 
@@ -225,7 +255,13 @@ def basis_monomials(D, deg_max, p_max):
 
     >>> len(basis_monomials(2, 2, 1))       # 1 + 4 + C(5, 2) over 4 times
     15
+    >>> basis_monomials(2, -1, 1)
+    Traceback (most recent call last):
+    ...
+    ValueError: degree cap must be >= 0, got -1
     """
+    if deg_max < 0:
+        raise ValueError("degree cap must be >= 0, got %d" % deg_max)
     vars_ = [(c, p) for c in range(1, D + 1) for p in range(p_max + 1)]
     out = [Monomial()]
     def rec(start, left, acc):
@@ -250,29 +286,18 @@ def hirota_factor(sign, c, nsize, d_ext, p_ext, a_scale="N",
     sign = +1 is V_+.  charge_literal assigns z^{-N} to V_+ (flipping it is
     only used by the calibration scan).
     """
-    P = d_ext * p_ext + 1
     W = 2 * d_ext * p_ext + 1
     if ring is None:
         # deep enough for every B-insertion (bounded by the weight cap W)
         # plus the charge shift, with strict slack on both sides
-        win = max(d_ext * P, W) + nsize + 2
-        ring = TruncSpec(0, d_ext + P, P, (-win, win), max_time_weight=W)
+        P = d_ext * p_ext + 1
+        ring = _hirota_ring(d_ext, p_ext, max(d_ext * P, W) + nsize + 2)
     if ring.z_max < W + nsize + 2:
         raise ValueError("z window too small to certify the residue")
-    z = z1mm_series(ring, colour=c, nsize=nsize)
-    u = build_B_concrete(c, ring, nsize).apply_exp(z, scale=-sign)
-    shift = -sign * nsize if charge_literal else sign * nsize
-    u = u.shift_z(shift)
-    u = u.restrict(TruncSpec(0, d_ext, p_ext, (ring.z_min, ring.z_max)))
-    a_val = nsize if a_scale == "N" else 1
-    a_ser = Series(TruncSpec(0, d_ext, p_ext, (ring.z_min, ring.z_max)))
-    for n in range(p_ext + 1):
-        a_ser.add_term(Fraction(sign * a_val), zexp=n, times=(((c, n), 1),))
-    out = a_ser.exp_trunc().mul(u)
-    for m in out.terms:
-        if m.zexp in (ring.z_min, ring.z_max):
-            raise WindowError("bilinear factor touches the z boundary")
-    return out
+    return _vertex(z1mm_series(ring, colour=c, nsize=nsize), sign, c,
+                   build_B(c, ring, nsize), _out_box(ring, d_ext, p_ext),
+                   a_val=nsize if a_scale == "N" else 1,
+                   charge=-sign * nsize if charge_literal else sign * nsize)
 
 
 def hirota_residual(nsize, d_ext=2, p_ext=3, a_scale="N", charge_literal=True,
@@ -283,12 +308,7 @@ def hirota_residual(nsize, d_ext=2, p_ext=3, a_scale="N", charge_literal=True,
     half-width of the z window; too-shallow values are rejected rather
     than silently certifying nothing.
     """
-    ring = None
-    if zwindow is not None:
-        P = d_ext * p_ext + 1
-        W = 2 * d_ext * p_ext + 1
-        ring = TruncSpec(0, d_ext + P, P, (-zwindow, zwindow),
-                         max_time_weight=W)
+    ring = None if zwindow is None else _hirota_ring(d_ext, p_ext, zwindow)
     f_plus = hirota_factor(+1, 1, nsize, d_ext, p_ext, a_scale,
                            charge_literal, ring)
     f_minus = hirota_factor(-1, 2, nsize, d_ext, p_ext, a_scale,
@@ -350,11 +370,8 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
     offset = 0 if sign > 0 else D
     colours = tuple(offset + cc for cc in range(1, D + 1))
     c_act = offset + c
-    P = d_ext * p_ext + 1 + 2 * K
-    W = d_ext * p_ext + P + 4 * K * K + 2
-    degR = P + 2 * K * D + d_ext + 2
-    win = max(d_ext * P + 2 * K, W) + nsize + 2
-    ring = TruncSpec(2 * K, degR, P, (-win, win), max_time_weight=W)
+    ring = _tensor_ring(D, K, nsize, d_ext, p_ext)
+    P = ring.p_max
     a_val = nsize if a_scale == "N" else 1
 
     prod = Series.one(ring)
@@ -369,19 +386,10 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
             zc = _colour_budget_filter(zc, budget)
         prod = prod.mul(zc)
     s = build_Y(D, ring, colours).apply_exp(prod)
-
-    u = build_B_concrete(c_act, ring, nsize).apply_exp(s, scale=-sign)
-    if with_middle:
-        mid = closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
-        u = mid.apply_exp(u, scale=-sign)
-    u = u.shift_z(-sign * nsize)
-    u = u.restrict(TruncSpec(2 * K, d_ext, p_ext, (ring.z_min, ring.z_max)))
-
-    a_ser = Series(TruncSpec(2 * K, d_ext, p_ext, (ring.z_min, ring.z_max)))
-    for n in range(p_ext + 1):
-        a_ser.add_term(Fraction(sign * a_val), zexp=n,
-                       times=(((c_act, n), 1),))
-    return a_ser.exp_trunc().mul(u)
+    mid = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
+           if with_middle else None)
+    return _vertex(s, sign, c_act, build_B(c_act, ring, nsize),
+                   _out_box(ring, d_ext, p_ext), a_val, mid, -sign * nsize)
 
 
 def tensor_bilinear_residual(D, K, nsize, c=1, d_ext=1, p_ext=2,
@@ -409,23 +417,15 @@ def tensor_reduction_residual(D, nsize, c=1, d_ext=1, p_ext=2,
     exact."""
     lhs = tensor_vertex_factor(+1, D, 0, nsize, c, d_ext, p_ext, a_scale,
                                prefilter=False)
-    P = d_ext * p_ext + 1
-    W = d_ext * p_ext + P + 2
-    degR = P + d_ext + 2
-    win = max(d_ext * P, W) + nsize + 2
-    ring = TruncSpec(0, degR, P, (-win, win), max_time_weight=W)
-    a_val = nsize if a_scale == "N" else 1
-    z = z1mm_series(ring, colour=c, nsize=nsize)
-    u = build_B_concrete(c, ring, nsize).apply_exp(z, scale=-1)
-    u = u.shift_z(-nsize)
+    ring = _tensor_ring(D, 0, nsize, d_ext, p_ext)
+    rhs = _vertex(z1mm_series(ring, colour=c, nsize=nsize), +1, c,
+                  build_B(c, ring, nsize), _out_box(ring, d_ext, p_ext),
+                  a_val=nsize if a_scale == "N" else 1, charge=-nsize)
+    # the spectators carry no colour-c time, so they commute with the
+    # whole vertex chain and multiply in after it
     for cc in range(1, D + 1):
         if cc != c:
-            u = u.mul(z1mm_series(ring, colour=cc, nsize=nsize))
-    u = u.restrict(TruncSpec(0, d_ext, p_ext, (ring.z_min, ring.z_max)))
-    a_ser = Series(TruncSpec(0, d_ext, p_ext, (ring.z_min, ring.z_max)))
-    for n in range(p_ext + 1):
-        a_ser.add_term(Fraction(a_val), zexp=n, times=(((c, n), 1),))
-    rhs = a_ser.exp_trunc().mul(u)
+            rhs = rhs.mul(z1mm_series(ring, colour=cc, nsize=nsize))
     lo = -(1 + d_ext * p_ext + nsize)
     keep = lambda m: m.zexp >= lo
     return lhs.filter(keep) - rhs.filter(keep)

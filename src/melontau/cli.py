@@ -47,7 +47,9 @@ def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
         r = residual()
         if r.is_zero():
             return True, "residual identically zero"
-        return False, "%d nonzero residual term(s)" % len(r.terms)
+        head = r.serialize().splitlines()[:3]
+        return False, "%d nonzero residual term(s), lowest: %s" % (
+            len(r.terms), "; ".join(head))
     return timed_check(name, params, run)
 
 
@@ -155,8 +157,9 @@ def _verify_orthopoly(args) -> list[CheckReport]:
 
 
 def _verify_hirota(args) -> list[CheckReport]:
-    d_ext = _fill(args.deg, 2)
-    p_ext = _fill(args.pmax, 3)
+    # degree 0 or index 0 cannot tell the a-scale apart: vacuous
+    d_ext = _at_least("--deg", _fill(args.deg, 2), 1)
+    p_ext = _at_least("--pmax", _fill(args.pmax, 3), 1)
     sizes = [args.nsize] if args.nsize is not None else [1, 2]
     return [
         _zero_check("hirota", {"nsize": n, "deg": d_ext, "p_ext": p_ext},
@@ -169,7 +172,7 @@ def _verify_hirota(args) -> list[CheckReport]:
 def _verify_conjugation(args) -> list[CheckReport]:
     # the sandwich needs a colour besides the active one
     Ds = [_at_least("--D", args.D, 2)] if args.D is not None else [2, 3]
-    deg = _fill(args.deg, 2)
+    deg = _at_least("--deg", _fill(args.deg, 2), 0)
     out = []
     for D in Ds:
         def ops(D=D):
@@ -195,8 +198,9 @@ def _verify_tensor_bilinear(args) -> list[CheckReport]:
     D = _at_least("--D", _fill(args.D, 3), 2)
     K = _fill(args.order, 1)
     nsize = _fill(args.nsize, 1)
-    d_ext = _fill(args.deg, 1)
-    p_ext = _fill(args.pmax, 2)
+    # degree 0 or index 0 cannot tell the middle factor apart: vacuous
+    d_ext = _at_least("--deg", _fill(args.deg, 1), 1)
+    p_ext = _at_least("--pmax", _fill(args.pmax, 2), 1)
     out = [_zero_check(
         "tensor-bilinear",
         {"D": D, "K": K, "nsize": nsize, "deg": d_ext, "p_ext": p_ext},

@@ -226,23 +226,6 @@ class DiffOp:
     def commutator(self, other):
         return self.compose(other) - other.compose(self)
 
-    def conjugate_exp(self, inner, cap=60):
-        """exp(self) inner exp(-self) = sum_k ad_self^k(inner) / k!.
-
-        Terminates when an iterated commutator vanishes under the ring
-        restriction; NilpotencyError-like failure raises RuntimeError.
-        """
-        out = inner
-        cur = inner
-        fact = GaussRat(1)
-        for k in range(1, cap + 1):
-            cur = self.commutator(cur)
-            if cur.is_zero():
-                return out
-            fact = fact * GaussRat(Fraction(1, k))
-            out = out + cur.scale(fact)
-        raise RuntimeError("ad-series did not terminate within %d steps" % cap)
-
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda kv: (kv[0][0]._key, kv[0][1], kv[0][2]))

@@ -421,18 +421,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, mono, coeff=1):
-        """Multiply by coeff * mono (h2 of mono must be pre-normalized)."""
-        coeff = _as_coeff(coeff)
-        s = Series(self.trunc)
-        for m, c in self.terms.items():
-            pm, carry = m.mul(mono)
-            cc = c * coeff
-            if carry != 1:
-                cc = cc * carry
-            s._put(pm, cc)
-        return s
-
     def pow(self, n):
         out = Series.one(self.trunc)
         for _ in range(n):

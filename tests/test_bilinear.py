@@ -2,6 +2,7 @@
 
 import pytest
 
+from melontau import bilinear
 from melontau.bilinear import (
     basis_monomials,
     build_A,
@@ -148,3 +149,46 @@ def test_colour_budget_filters_lose_nothing():
     fb = fb.filter(lambda m: m.zexp >= lo)
     assert not fa.is_zero()
     assert (fa - fb).is_zero()
+
+
+# -- box sufficiency: a strictly larger ring certifies the same residue ----
+
+
+def _enlarged(ring):
+    """ring with every cap raised by 1 and the z window widened by 1."""
+    return TruncSpec(ring.max_hl + 1, ring.max_time_deg + 1, ring.p_max + 1,
+                     (ring.z_min - 1, ring.z_max + 1),
+                     max_time_weight=ring.max_time_weight + 1)
+
+
+def _in_both_rings(monkeypatch, ring_fn, compute):
+    """serialize() of the residual compute() in the documented ring and in
+    _enlarged, the latter restricted to the former's output box."""
+    base = compute()
+    orig = getattr(bilinear, ring_fn)
+    monkeypatch.setattr(bilinear, ring_fn,
+                        lambda *args: _enlarged(orig(*args)))
+    return base.serialize(), compute().restrict(base.trunc).serialize()
+
+
+@pytest.mark.parametrize("nsize,d_ext,p_ext,a_scale", [
+    (n, d, p, "N") for n in (1, 2) for d, p in ((1, 2), (2, 3))
+] + [(2, 1, 2, "1")])       # the naive a-scale: a nonzero control
+def test_hirota_ring_is_large_enough(monkeypatch, nsize, d_ext, p_ext,
+                                     a_scale):
+    # only the residue is certified: the factors themselves differ at deep z
+    base, big = _in_both_rings(
+        monkeypatch, "_hirota_ring",
+        lambda: hirota_residual(nsize, d_ext, p_ext, a_scale=a_scale))
+    assert base == big
+    assert (base == "") == (a_scale == "N")
+
+
+@pytest.mark.parametrize("with_middle", [True, False])
+def test_tensor_ring_is_large_enough(monkeypatch, with_middle):
+    base, big = _in_both_rings(
+        monkeypatch, "_tensor_ring",
+        lambda: tensor_bilinear_residual(2, 1, 1, p_ext=1,
+                                         with_middle=with_middle))
+    assert base == big
+    assert (base == "") == with_middle

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from melontau.cli import main
+from melontau import bilinear
+from melontau.cli import _zero_check, main
 from melontau.reports import CheckReport, emit
 
 
@@ -142,6 +143,11 @@ def test_moment_tensor_from_file(tmp_path, capsys):
     "verify grading --D 1",
     "verify conjugation --D 1",
     "verify tensor-bilinear --D 1",
+    "verify conjugation --deg -1",
+    "verify hirota --deg 0",
+    "verify hirota --pmax 0",
+    "verify tensor-bilinear --deg 0",
+    "verify tensor-bilinear --pmax 0",
 ])
 def test_invalid_or_vacuous_config_exits_2(capsys, argv):
     *_, flag, _value = argv.split()
@@ -149,6 +155,15 @@ def test_invalid_or_vacuous_config_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error: %s must be at least" % flag in err
+
+
+def test_failed_zero_check_shows_lowest_residual_terms():
+    # the naive A-scale leaves a two-term residual at N = 2
+    rep = _zero_check("hirota", {}, lambda: bilinear.hirota_residual(
+        2, 1, 2, a_scale="1"))
+    assert not rep.passed
+    assert rep.detail == ("2 nonzero residual term(s), lowest: "
+                          "-1/1/0/1 * t[1,1]^1; 1/1/0/1 * t[2,1]^1")
 
 
 def test_unknown_subcommand_exits_2():

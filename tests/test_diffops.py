@@ -100,14 +100,6 @@ def test_apply_exp_translation():
     assert out == expect
 
 
-def test_conjugate_exp_weyl_pair():
-    # e^{t} d e^{-t} = d - 1  (ad_t(d) = -[d,t] = -1)
-    t_op = t_mult(1, 1)
-    d_op = t_der(1, 1)
-    conj = t_op.conjugate_exp(d_op)
-    assert conj == d_op + DiffOp(T).add_term(-1)
-
-
 def test_ring_restriction_drops_out_of_range():
     op = DiffOp(T).add_term(1, derivs=(((1, 9), 1),))   # p=9 > p_max=4
     assert op.is_zero()
