@@ -213,6 +213,19 @@ def _tensor_ring(D, K, nsize, d_ext, p_ext):
 # -- conjugation sandwich on basis monomials -------------------------------
 
 
+def _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out):
+    """The sandwich route's ring: degree deg_out + D * k_max, with k_max the
+    least non-active-colour letter count of mono, and the z window
+    |z| <= p_ring * degree + weight(mono) + hl_cap + 4."""
+    counts = {cc: 0 for cc in range(1, D + 1) if cc != c}
+    for (cc, _p), e in mono.times:
+        if cc != c:
+            counts[cc] += e
+    deg_L = deg_out + D * min(counts.values())
+    win = p_ring * deg_L + mono.time_weight() + hl_cap + 4
+    return TruncSpec(hl_cap, deg_L, p_ring, (-win, win))
+
+
 def conjugation_sandwich_residual(mono, D, c=1, sign=1, hl_cap=4, p_ring=4,
                                   deg_extra=2):
     """e^{Y} V^c e^{-Y} (m) minus the dressed closed form applied to m.
@@ -225,15 +238,9 @@ def conjugation_sandwich_residual(mono, D, c=1, sign=1, hl_cap=4, p_ring=4,
     intermediate can sit and still come back down.
     """
     colours = tuple(range(1, D + 1))
-    counts = {cc: 0 for cc in colours}
-    for (cc, _p), e in mono.times:
-        counts[cc] += e
-    k_max = min(v for cc, v in counts.items() if cc != c)
     deg_out = mono.time_degree() + deg_extra
-    deg_L = deg_out + D * k_max
-    win = p_ring * deg_L + mono.time_weight() + hl_cap + 4
-    t_R = TruncSpec(hl_cap, deg_out, p_ring, (-win, win))
-    t_L = TruncSpec(hl_cap, deg_L, p_ring, (-win, win))
+    t_L = _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out)
+    t_R = TruncSpec(hl_cap, deg_out, p_ring, (t_L.z_min, t_L.z_max))
     Y_L = build_Y(D, t_L, colours)
 
     s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,

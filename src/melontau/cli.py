@@ -196,7 +196,8 @@ def _verify_conjugation(args) -> list[CheckReport]:
 def _verify_tensor_bilinear(args) -> list[CheckReport]:
     # the dressing Yhat is the intermediate field, which needs D >= 2
     D = _at_least("--D", _fill(args.D, 3), 2)
-    K = _fill(args.order, 1)
+    # K = 0 is vacuous: the dropped-middle control has no terms there
+    K = _at_least("--order", _fill(args.order, 1), 1)
     nsize = _fill(args.nsize, 1)
     # degree 0 or index 0 cannot tell the middle factor apart: vacuous
     d_ext = _at_least("--deg", _fill(args.deg, 1), 1)

@@ -69,9 +69,11 @@ def _t0_factor(trunc, colour, nsize=None):
 def z1mm_series(trunc, colour=1, nsize=None, engine="auto"):
     """Deformed Gaussian 1MM partition function under the truncation.
 
-    Symbolic in N by default; at a concrete size (nsize) dispatches to the
-    eigenvalue/Hankel route, which stays cheap when the truncation keeps
-    high-weight words.
+    Symbolic in N by default, from the memoized moment recursion; engine
+    is passed on to hermitian_moment ("pairing" selects the reference
+    engine, "auto" is the recursion).  At a concrete size (nsize) it
+    dispatches to the eigenvalue/Hankel route, which stays cheap when the
+    truncation keeps high-weight words, and ignores engine.
     """
     if nsize is not None:
         return z1mm_hankel(trunc, colour, nsize)
@@ -219,6 +221,7 @@ def virasoro_residual(n, p_ext=4, deg=3, engine="auto"):
     weighted degree p_ext*deg + n + 2, which is exactly what the box
     coefficients of L_n Z can touch; the restriction of the returned series
     is therefore exact, and the check passes iff it is the zero series.
+    engine is passed on to z1mm_series and hermitian_moment.
     """
     p_int = p_ext + max(n, 0) + 2
     w_int = p_ext * deg + max(n, 0) + 2

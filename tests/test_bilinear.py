@@ -154,20 +154,26 @@ def test_colour_budget_filters_lose_nothing():
 # -- box sufficiency: a strictly larger ring certifies the same residue ----
 
 
-def _enlarged(ring):
-    """ring with every cap raised by 1 and the z window widened by 1."""
+def _enlarged(ring, zpad=1):
+    """ring with every cap raised by 1 and the z window widened by zpad."""
+    w = ring.max_time_weight
     return TruncSpec(ring.max_hl + 1, ring.max_time_deg + 1, ring.p_max + 1,
-                     (ring.z_min - 1, ring.z_max + 1),
-                     max_time_weight=ring.max_time_weight + 1)
+                     (ring.z_min - zpad, ring.z_max + zpad),
+                     max_time_weight=None if w is None else w + 1)
 
 
-def _in_both_rings(monkeypatch, ring_fn, compute):
+def _in_both_rings(monkeypatch, ring_fn, compute, zpad=lambda ring: 1):
     """serialize() of the residual compute() in the documented ring and in
-    _enlarged, the latter restricted to the former's output box."""
+    _enlarged (by zpad(ring)), the latter restricted to the former's
+    output box."""
     base = compute()
     orig = getattr(bilinear, ring_fn)
-    monkeypatch.setattr(bilinear, ring_fn,
-                        lambda *args: _enlarged(orig(*args)))
+
+    def bigger(*args):
+        ring = orig(*args)
+        return _enlarged(ring, zpad(ring))
+
+    monkeypatch.setattr(bilinear, ring_fn, bigger)
     return base.serialize(), compute().restrict(base.trunc).serialize()
 
 
@@ -192,3 +198,26 @@ def test_tensor_ring_is_large_enough(monkeypatch, with_middle):
                                          with_middle=with_middle))
     assert base == big
     assert (base == "") == with_middle
+
+
+def test_sandwich_ring_is_large_enough(monkeypatch):
+    mons = basis_monomials(2, 2, 2)
+    for mono in mons:
+        with monkeypatch.context() as mp:
+            base, big = _in_both_rings(
+                mp, "_sandwich_ring",
+                lambda: conjugation_sandwich_residual(mono, 2),
+                # the window p_ring * deg + hl_cap + ... grows by p + deg + 2
+                zpad=lambda r: r.p_max + r.max_time_deg + 2)
+        assert base == big == "", mono
+    # negative control: one degree less and the sandwich loses terms
+    orig = bilinear._sandwich_ring
+
+    def lowered(*args):
+        r = orig(*args)
+        return TruncSpec(r.max_hl, r.max_time_deg - 1, r.p_max,
+                         (r.z_min, r.z_max))
+
+    monkeypatch.setattr(bilinear, "_sandwich_ring", lowered)
+    assert any(not conjugation_sandwich_residual(m, 2).is_zero()
+               for m in mons)

@@ -1,11 +1,13 @@
 """Command-line surface: wiring, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import melontau
 from melontau import bilinear
 from melontau.cli import _zero_check, main
 from melontau.reports import CheckReport, emit
@@ -148,6 +150,8 @@ def test_moment_tensor_from_file(tmp_path, capsys):
     "verify hirota --pmax 0",
     "verify tensor-bilinear --deg 0",
     "verify tensor-bilinear --pmax 0",
+    "verify tensor-bilinear --order -1",
+    "verify tensor-bilinear --order 0",
 ])
 def test_invalid_or_vacuous_config_exits_2(capsys, argv):
     *_, flag, _value = argv.split()
@@ -182,9 +186,12 @@ def test_emit_maps_failures_to_exit_1(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same melontau as this process
+    src = os.path.dirname(os.path.dirname(melontau.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "melontau", "moment", "matrix", "2", "2",
          "--format", "text"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "2*N^0 + 1*N^2" in proc.stdout

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from melontau import wick
 from melontau.wick import (NPoly, clear_moment_cache, hermitian_moment,
                            moment_index_oracle, pairings, quartic_pattern,
                            tensor_moment, tensor_moment_index_oracle)
@@ -40,11 +41,20 @@ def even_words(max_slots):
     return out
 
 
-def test_engines_agree_all_words_8_slots():
+def test_engines_agree_all_words_10_slots():
     clear_moment_cache()
-    for w in even_words(8):
-        assert hermitian_moment(w, engine="pairing") == \
-            hermitian_moment(w, engine="recursion"), w
+    for w in even_words(10):
+        for word in (w, (0,) + w, w + (0, 0)):
+            assert hermitian_moment(word, engine="pairing") == \
+                hermitian_moment(word, engine="recursion"), word
+
+
+def test_default_engine_is_the_recursion():
+    # sum 12, past any small-word cutoff: the default engine must still
+    # be the memoized recursion
+    clear_moment_cache()
+    hermitian_moment((4, 4, 4))
+    assert (4, 4, 4) in wick._rec_memo
 
 
 def test_index_oracle_all_words_8_slots():
