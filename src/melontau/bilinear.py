@@ -64,6 +64,20 @@ the charge z^{-+N}, restriction to the output box, then e^{+-aA} built on
 that box.  A caller only picks the ring (_hirota_ring, _tensor_ring), the
 output box, B (symbolic or concrete N) and the middle factor.
 
+Every stage from e^{Y} to the output box is a pure derivative (Y, B and
+[A, Y] have no multiplication part), so a term only loses letters on its
+way there.  _reach turns this into the admit predicate that the product
+of the one-matrix series, e^{Y}, e^{-+B} and the middle factor check on
+every term they form: B strips active letters of index >= 1 for free, a
+Y or middle application strips one letter of each colour it acts on for
+sqrtLam >= max(1, stripped index sum), and what no stage left can strip
+must already fit the box.  It reads degree, indices and sqrtLam, never z,
+so it drops only terms the restriction would drop later: every factor is
+unchanged term by term, deep z included.  The colour-budget prefilter on
+the one-matrix series is a different cut, a z-counting bound
+(sum beta <= P) that is exact for the residue only.  The sandwich's box
+is its ring, so nothing is pruned there.
+
 Only the residue is box-exact, not each factor: a factor's deep-z terms
 are clipped by the ring's weight cap and change when the ring grows, while
 the terms that can pair to z^{-1} in the output box do not.  The tests
@@ -163,22 +177,76 @@ def charge_commutes_with_Y(D, nsize=2, max_q=3):
 # -- the vertex-factor pipeline --------------------------------------------
 
 
+def _reach(box, c, stages):
+    """The predicate admit(hl, times) that is False only for a term no
+    stage still to come can bring into box (see "One pipeline" above).
+    stages names them: "Y" more e^{Y}, "B" e^{-+B} on the active colour c,
+    "M" the middle factor.  Y and the middle factor fire at most
+    r = box.max_hl - hl times between them.
+
+    >>> box = TruncSpec(2, 1, 2)
+    >>> _reach(box, 1, "B")(0, (((1, 0), 1), ((1, 5), 3)))  # B strips t[1,5]
+    True
+    >>> _reach(box, 1, "B")(0, (((1, 0), 2),))      # index 0: B cannot
+    False
+    >>> _reach(box, 1, "M")(0, (((1, 3), 1),))      # B is done: 3 > p_max
+    False
+    >>> _reach(box, 1, "M")(0, (((1, 1), 1), ((2, 2), 1)))  # strip t[2,2]
+    True
+    >>> _reach(box, 1, "M")(2, (((1, 1), 1), ((2, 2), 1)))  # no sqrtLam left
+    False
+    >>> _reach(box, 1, "M")(0, (((2, 3), 1),))      # cost 3 > max_hl
+    False
+    """
+    strip = "Y" in stages or "M" in stages
+    strip_c = "Y" in stages
+    b_left = "B" in stages
+    deg, p_box, hl_box = box.max_time_deg, box.p_max, box.max_hl
+
+    def admit(hl, times):
+        k = hl_box - hl if strip else 0     # Y / middle applications left
+        cost = 0                            # index sum only they can strip
+        counts = {}
+        for (cc, p), e in times:
+            if cc == c:
+                if b_left and p:
+                    continue
+                if p > p_box:
+                    return False
+            elif p > p_box:
+                cost += p * e
+            counts[cc] = counts.get(cc, 0) + e
+        if cost > k:
+            return False
+        left = 0
+        for cc, n in counts.items():
+            kc = k if cc != c or strip_c else 0
+            if n > kc:
+                left += n - kc
+        return left <= deg
+
+    return admit
+
+
 def _vertex(s, sign, c, B, box, a_val=1, middle=None, charge=0):
     """e^{sign a A^c} restrict_box z^charge e^{-sign middle} e^{-sign B} s.
 
     The one vertex chain behind every bilinear factor, applied rightmost
     first in the ring of s.  middle (the dressing [A^c, Y]) and the charge
-    are optional; the restriction to the output box is skipped when box is
-    the ring itself, and A^c is built on box.  Raises WindowError when a
-    term of the result sits on the z boundary: clipped partners could then
-    have cancelled it.
+    are optional.  B and the middle factor drop, as they go, the terms
+    _reach proves cannot land in the output box, which is then restricted
+    to; both steps are skipped when box is the ring itself.  A^c is built
+    on box.  Raises WindowError when a term of the result sits on the z
+    boundary: clipped partners could then have cancelled it.
     """
-    u = B.apply_exp(s, scale=-sign)
+    whole = box == s.trunc
+    u = B.apply_exp(s, -sign, None if whole else
+                    _reach(box, c, "B" if middle is None else "BM"))
     if middle is not None:
-        u = middle.apply_exp(u, scale=-sign)
+        u = middle.apply_exp(u, -sign, None if whole else _reach(box, c, "M"))
     if charge:
         u = u.shift_z(charge)
-    if box != u.trunc:
+    if not whole:
         u = u.restrict(box)
     out = build_A(c, box, scale=sign * a_val).apply_exp(u)
     for m in out.terms:
@@ -381,6 +449,8 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
     P = ring.p_max
     a_val = nsize if a_scale == "N" else 1
 
+    box = _out_box(ring, d_ext, p_ext)
+    reach = _reach(box, c_act, "YBM" if with_middle else "YB")
     prod = Series.one(ring)
     for cc in colours:
         zc = z1mm_series(ring, colour=cc, nsize=nsize)
@@ -391,12 +461,13 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
             else:
                 budget = {cc: (2 * K + d_ext, 2 * K + d_ext * p_ext)}
             zc = _colour_budget_filter(zc, budget)
-        prod = prod.mul(zc)
-    s = build_Y(D, ring, colours).apply_exp(prod)
+        # more letters never help a term into the box: cut partial products
+        prod = prod.mul(zc, admit=lambda m: reach(m.hl, m.times))
+    s = build_Y(D, ring, colours).apply_exp(prod, admit=reach)
     mid = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
            if with_middle else None)
-    return _vertex(s, sign, c_act, build_B(c_act, ring, nsize),
-                   _out_box(ring, d_ext, p_ext), a_val, mid, -sign * nsize)
+    return _vertex(s, sign, c_act, build_B(c_act, ring, nsize), box, a_val,
+                   mid, -sign * nsize)
 
 
 def tensor_bilinear_residual(D, K, nsize, c=1, d_ext=1, p_ext=2,

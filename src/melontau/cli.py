@@ -57,7 +57,8 @@ def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
 
 
 def _verify_commutator(args) -> list[CheckReport]:
-    max_q = _fill(args.pmax, 4)
+    # Yhat has no terms at index cap 0: vacuous
+    max_q = _at_least("--pmax", _fill(args.pmax, 4), 1)
     Ds = ([_at_least("--D", args.D, 1)] if args.D is not None
           else [2, 3, 4])
     return [
@@ -213,6 +214,12 @@ def _verify_tensor_bilinear(args) -> list[CheckReport]:
     return out
 
 
+# the verify suites that read each size flag; the others refuse it
+_READ_BY = {
+    "zwindow": ("hirota",),
+    "nsize": ("orthopoly", "hirota", "tensor-bilinear"),
+}
+
 _VERIFY = {
     "commutator": _verify_commutator,
     "bch": _verify_bch,
@@ -358,6 +365,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.cmd == "verify":
+            for flag, suites in _READ_BY.items():
+                if getattr(args, flag) is not None and args.sub not in suites:
+                    raise ValueError("--%s is not read by verify %s"
+                                     % (flag, args.sub))
             return emit(_VERIFY[args.sub](args), args.format)
         if args.cmd == "compute":
             return (_compute_tutte if args.sub == "tutte"

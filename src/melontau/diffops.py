@@ -119,7 +119,13 @@ class DiffOp:
 
     # -- action on series --------------------------------------------------
 
-    def apply(self, series):
+    def apply(self, series, admit=None):
+        """self applied to series, restricted to the ring.
+
+        admit, if given, is an extra predicate admit(hl, times) on each
+        result's sqrtLam power and time letters, checked before the
+        Monomial is built; rejected results are discarded.
+        """
         out = Series(series.trunc)
         terms = out.terms
         admits = out.trunc.admits
@@ -146,11 +152,14 @@ class DiffOp:
                     for key, b in mu:
                         t[key] = t.get(key, 0) + b
                     times = tuple(sorted(t.items()))
+                hl = m.hl + sm.hl
+                if admit is not None and not admit(hl, times):
+                    continue
                 h2 = m.h2 + sm.h2
                 if h2 >= 2:
                     val *= 2
                     h2 -= 2
-                mono = trusted(m.hl + sm.hl, m.hn + sm.hn, h2,
+                mono = trusted(hl, m.hn + sm.hn, h2,
                                m.zexp + sm.zexp, times)
                 if not admits(mono):
                     continue
@@ -168,20 +177,24 @@ class DiffOp:
                         terms[mono] = cur
         return out
 
-    def apply_exp(self, series, scale=1):
+    def apply_exp(self, series, scale=1, admit=None):
         """(exp(scale * self)) series, summed until a power annihilates.
 
-        Relies on the truncation for termination; raises RuntimeError when
-        the iteration count exceeds a generous structural bound.
+        admit, as in apply, is checked on the terms of series and of every
+        iterate.  Relies on the truncation for termination; raises
+        RuntimeError when the iteration count exceeds a generous structural
+        bound.
         """
         scale = scale if isinstance(scale, GaussRat) else GaussRat(scale)
+        if admit is not None:
+            series = series.filter(lambda m: admit(m.hl, m.times))
         out = series
         cur = series
         cap = 4 * (series.trunc.max_hl + series.trunc.max_time_deg) + 8
         k = 0
         fact = GaussRat(1)
         while True:
-            cur = self.apply(cur)
+            cur = self.apply(cur, admit)
             if cur.is_zero():
                 return out
             k += 1

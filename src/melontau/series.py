@@ -27,8 +27,9 @@ because z shifts implement charge factors whose loss would corrupt residues.
 
 Everything is a plain dict keyed by Monomial; values are GaussRat and never
 zero.  A Monomial caches its hash; the public constructor validates, merges
-and sorts its times, while Monomial.mul and DiffOp.apply, whose inputs are
-valid monomials already, build their results unchecked.
+and sorts its times, while Monomial.mul, DiffOp.apply and the Series maps
+derive, shift_z, residue_z and eval_N, whose inputs are valid monomials
+already, build their results unchecked.
 
 USeries, at the end of the module, is the one-variable truncated series:
 a coefficient list indexed by power, over Fraction or NPoly.  The one-matrix
@@ -104,7 +105,8 @@ class Monomial:
         """Monomial from inputs already valid, merged and sorted (no checks).
 
         Only for callers that build times from valid Monomials' times:
-        Monomial.mul and DiffOp.apply.
+        Monomial.mul, DiffOp.apply and Series.derive, shift_z, residue_z
+        and eval_N.
         """
         m = _object_new(cls)
         _fill(m, hl, hn, h2, zexp, times)
@@ -489,8 +491,8 @@ class Series:
                 del t[key]
             else:
                 t[key] = e - 1
-            s._put(Monomial(m.hl, m.hn, m.h2, m.zexp, tuple(t.items())),
-                   coeff * e)
+            s._put(Monomial._trusted(m.hl, m.hn, m.h2, m.zexp,
+                                     tuple(t.items())), coeff * e)
         return s
 
     def subs_time_zero(self):
@@ -507,7 +509,7 @@ class Series:
         """Multiply by z**k; refuses to drop terms past the window."""
         s = Series(self.trunc)
         for m, c in self.terms.items():
-            mono = Monomial(m.hl, m.hn, m.h2, m.zexp + k, m.times)
+            mono = Monomial._trusted(m.hl, m.hn, m.h2, m.zexp + k, m.times)
             if not self.trunc.admits(mono):
                 raise WindowError("z^%d shift pushes %s outside window [%d,%d]"
                                   % (k, m, self.trunc.z_min, self.trunc.z_max))
@@ -528,7 +530,7 @@ class Series:
         s = Series(self.trunc)
         for m, c in self.terms.items():
             if m.zexp == -1:
-                s._put(Monomial(m.hl, m.hn, m.h2, 0, m.times), c)
+                s._put(Monomial._trusted(m.hl, m.hn, m.h2, 0, m.times), c)
         return s
 
     # -- restriction / substitution ----------------------------------------
@@ -560,7 +562,8 @@ class Series:
             if m.hn % 2:
                 raise ValueError("odd sqrtN power in %s; cannot evaluate" % m)
             val = Fraction(n) ** (m.hn // 2)
-            s._put(Monomial(m.hl, 0, m.h2, m.zexp, m.times), c * val)
+            s._put(Monomial._trusted(m.hl, 0, m.h2, m.zexp, m.times),
+                   c * val)
         return s
 
     # -- serialization -----------------------------------------------------

@@ -8,9 +8,10 @@ Two independent engines compute it:
    the first trace,
        <Tr M^p R> = (1/N) [ sum_{d=0}^{p-2} <Tr M^d Tr M^{p-2-d} R>
                             + sum_{TrM^q in R} q <Tr M^{p+q-2} R/TrM^q> ],
-   with Tr M^0 = N, memoized on the sorted trace word.  Every symbolic
-   one-matrix partition function and Virasoro check runs on it; it makes
-   18-slot words (34M pairings) and the long Virasoro words affordable;
+   with each Tr M^0 = N factored out, memoized on the sorted zero-free
+   word.  Every symbolic one-matrix partition function and Virasoro check
+   runs on it; it makes 18-slot words (34M pairings) and the long Virasoro
+   words affordable;
  * "pairing", the reference: lay the traces out on slots with successor
    permutation gamma, sum N^{cycles(gamma o tau) - #pairs} over all
    pairing involutions tau.  Unmemoized, (2k-1)!! pairings per 2k-slot
@@ -183,20 +184,32 @@ _rec_memo = {}
 
 
 def _moment_recursion(word):
-    word = tuple(sorted(word, reverse=True))
+    """The recursion on word; each Tr M^0 = N is factored out before the
+    memo, which holds only zero-free words, sorted descending."""
+    core = tuple(sorted((p for p in word if p), reverse=True))
+    out = _moment_core(core)
+    zeros = len(word) - len(core)
+    return out * NPoly.N_pow(zeros) if zeros else out
+
+
+def _moment_core(word):
     if not word:
         return NPoly.const(1)
     hit = _rec_memo.get(word)
     if hit is not None:
         return hit
     p, rest = word[0], word[1:]
-    if p == 0:
-        out = NPoly.N_pow(1) * _moment_recursion(rest)
-    elif sum(word) % 2:
+    if sum(word) % 2:
         out = NPoly()
     else:
-        acc = NPoly()
-        for d in range(p - 1):
+        # the d = 0 and d = p-2 terms carry Tr M^0 = N
+        if p == 1:
+            acc = NPoly()
+        elif p == 2:
+            acc = NPoly.N_pow(2) * _moment_core(rest)
+        else:
+            acc = NPoly.N_pow(1, 2) * _moment_recursion(rest + (p - 2,))
+        for d in range(1, p - 2):
             acc = acc + _moment_recursion(rest + (d, p - 2 - d))
         for i, q in enumerate(rest):
             if i and rest[i] == rest[i - 1]:

@@ -151,6 +151,49 @@ def test_colour_budget_filters_lose_nothing():
     assert (fa - fb).is_zero()
 
 
+def _factor_case(fn, *args, **kwargs):
+    tag = "-".join(map(str, args + tuple("%s=%s" % kv
+                                         for kv in sorted(kwargs.items()))))
+    return pytest.param(fn, args, kwargs, id="%s(%s)" % (fn, tag))
+
+
+@pytest.mark.parametrize("fn,args,kwargs", [
+    _factor_case("tensor_vertex_factor", sign, 2, 1, 1, p_ext=p,
+                 with_middle=mid)
+    for sign in (1, -1) for mid in (True, False) for p in (1, 2)
+] + [
+    # degree 2; at p_ext = 2 the unpruned reference alone takes ~45 s on
+    # a 2-core x86 host
+    _factor_case("tensor_vertex_factor", -1, 2, 1, 1, d_ext=2, p_ext=1),
+] + [
+    _factor_case("hirota_factor", sign, c, n, d, p)
+    for sign, c in ((1, 1), (-1, 2)) for n in (1, 2)
+    for d, p in ((1, 2), (2, 3))
+])
+def test_vertex_pruning_is_exact(monkeypatch, fn, args, kwargs):
+    # _reach only drops terms that cannot reach the output box, so the
+    # whole factor, deep z included, is the one computed without it
+    factor = getattr(bilinear, fn)
+    reach = bilinear._reach
+    dropped = []
+
+    def counting(*a):
+        admit = reach(*a)
+
+        def counted(hl, times):
+            ok = admit(hl, times)
+            if not ok:
+                dropped.append(times)
+            return ok
+        return counted
+
+    monkeypatch.setattr(bilinear, "_reach", counting)
+    pruned = factor(*args, **kwargs).serialize()
+    assert pruned and dropped
+    monkeypatch.setattr(bilinear, "_reach", lambda *a: lambda hl, times: True)
+    assert factor(*args, **kwargs).serialize() == pruned
+
+
 # -- box sufficiency: a strictly larger ring certifies the same residue ----
 
 

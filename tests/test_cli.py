@@ -132,6 +132,14 @@ def test_moment_tensor_from_file(tmp_path, capsys):
     assert json.loads(out)["moment"] == {"0": "1", "1": "1"}
 
 
+# a size flag the suite never reads
+UNREAD_FLAGS = ["verify %s --%s 3" % (suite, flag) for suite, flag in (
+    ("tensor-bilinear", "zwindow"), ("orthopoly", "zwindow"),
+    ("virasoro", "zwindow"), ("virasoro", "nsize"), ("commutator", "nsize"),
+    ("bch", "nsize"), ("decomposition", "nsize"), ("grading", "nsize"),
+    ("conjugation", "nsize"))]
+
+
 @pytest.mark.parametrize("argv", [
     "verify commutator --D 0",
     "compute tutte --order -1",
@@ -152,13 +160,17 @@ def test_moment_tensor_from_file(tmp_path, capsys):
     "verify tensor-bilinear --pmax 0",
     "verify tensor-bilinear --order -1",
     "verify tensor-bilinear --order 0",
-])
+    "verify commutator --pmax 0",
+] + UNREAD_FLAGS)
 def test_invalid_or_vacuous_config_exits_2(capsys, argv):
-    *_, flag, _value = argv.split()
+    *_, suite, flag, _value = argv.split()
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2
     assert out == ""
-    assert "error: %s must be at least" % flag in err
+    if argv in UNREAD_FLAGS:
+        assert "error: %s is not read by verify %s" % (flag, suite) in err
+    else:
+        assert "error: %s must be at least" % flag in err
 
 
 def test_failed_zero_check_shows_lowest_residual_terms():

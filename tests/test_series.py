@@ -79,6 +79,52 @@ def test_mul_matches_public_construction(a, b):
     assert carry == (2 if h2 == 2 else 1)
 
 
+def _public(s, fn):
+    """s mapped term by term through the public constructor: fn(mono)
+    gives (factor, hl, hn, h2, zexp, times dict) or None to drop it."""
+    out = Series(s.trunc)
+    for m, c in s.terms.items():
+        got = fn(m)
+        if got is not None:
+            f, hl, hn, h2, zexp, times = got
+            out.add_term(c * GaussRat(f), hl, hn, h2, zexp,
+                         tuple((k, e) for k, e in times.items() if e))
+    return out
+
+
+@given(st.lists(st.tuples(monomials, st.integers(-3, 3)), max_size=6),
+       st.integers(-3, 3))
+def test_series_maps_match_public_construction(terms, k):
+    # derive, shift_z, residue_z and eval_N build through _trusted
+    box = TruncSpec(3, 12, 4, (-4, 4))
+    s = Series(box)
+    for m, v in terms:
+        s._put(m, GaussRat(v))
+
+    def derived(m):
+        t = dict(m.times)
+        e = t.get((1, 2), 0)
+        t[(1, 2)] = e - 1
+        return (e, m.hl, m.hn, m.h2, m.zexp, t) if e else None
+
+    assert s.derive(1, 2).serialize() == _public(s, derived).serialize()
+    if all(box.z_min <= m.zexp + k <= box.z_max for m in s.terms):
+        want = _public(s, lambda m: (1, m.hl, m.hn, m.h2, m.zexp + k,
+                                     dict(m.times)))
+        assert s.shift_z(k).serialize() == want.serialize()
+    else:
+        with pytest.raises(WindowError):
+            s.shift_z(k)
+    if all(m.zexp not in (box.z_min, box.z_max) for m in s.terms):
+        want = _public(s, lambda m: (1, m.hl, m.hn, m.h2, 0, dict(m.times))
+                       if m.zexp == -1 else None)
+        assert s.residue_z().serialize() == want.serialize()
+    if all(m.hn % 2 == 0 for m in s.terms):
+        want = _public(s, lambda m: (Fraction(2) ** (m.hn // 2), m.hl, 0,
+                                     m.h2, m.zexp, dict(m.times)))
+        assert s.eval_N(2).serialize() == want.serialize()
+
+
 def test_silent_discard_and_query_error():
     t = TruncSpec(2, 2, 3)
     a = Series(t).add_term(1, hl=2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melontau import wick
+from melontau.onematrix import virasoro_residual
 from melontau.wick import (NPoly, clear_moment_cache, hermitian_moment,
                            moment_index_oracle, pairings, quartic_pattern,
                            tensor_moment, tensor_moment_index_oracle)
@@ -55,6 +56,15 @@ def test_default_engine_is_the_recursion():
     clear_moment_cache()
     hermitian_moment((4, 4, 4))
     assert (4, 4, 4) in wick._rec_memo
+
+
+def test_memo_holds_only_zero_free_words():
+    # each Tr M^0 is factored out as N before the memo is consulted
+    clear_moment_cache()
+    for n in (-1, 0, 1, 2):
+        assert virasoro_residual(n).is_zero()
+    assert wick._rec_memo
+    assert not [w for w in wick._rec_memo if 0 in w]
 
 
 def test_index_oracle_all_words_8_slots():
