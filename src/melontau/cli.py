@@ -42,14 +42,19 @@ def _at_least(flag, value, low):
     return value
 
 
+def _residual_detail(r) -> str:
+    """Term count and the three lowest serialized terms of a residual."""
+    head = r.serialize().splitlines()[:3]
+    return "%d nonzero residual term(s), lowest: %s" % (len(r.terms),
+                                                        "; ".join(head))
+
+
 def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
     def run():
         r = residual()
         if r.is_zero():
             return True, "residual identically zero"
-        head = r.serialize().splitlines()[:3]
-        return False, "%d nonzero residual term(s), lowest: %s" % (
-            len(r.terms), "; ".join(head))
+        return False, _residual_detail(r)
     return timed_check(name, params, run)
 
 
@@ -161,7 +166,8 @@ def _verify_hirota(args) -> list[CheckReport]:
     # degree 0 or index 0 cannot tell the a-scale apart: vacuous
     d_ext = _at_least("--deg", _fill(args.deg, 2), 1)
     p_ext = _at_least("--pmax", _fill(args.pmax, 3), 1)
-    sizes = [args.nsize] if args.nsize is not None else [1, 2]
+    sizes = ([_at_least("--nsize", args.nsize, 1)] if args.nsize is not None
+             else [1, 2])
     return [
         _zero_check("hirota", {"nsize": n, "deg": d_ext, "p_ext": p_ext},
                     lambda n=n: bilinear.hirota_residual(
@@ -186,8 +192,10 @@ def _verify_conjugation(args) -> list[CheckReport]:
 
         def sandwich(D=D):
             for mono in bilinear.basis_monomials(D, deg, 2):
-                if not bilinear.conjugation_sandwich_residual(mono, D).is_zero():
-                    return False, "mismatch at %s" % mono
+                r = bilinear.conjugation_sandwich_residual(mono, D)
+                if not r.is_zero():
+                    return False, "mismatch at %s: %s" % (
+                        mono, _residual_detail(r))
             return True, "sandwich equals dressed form on the basis"
         out.append(timed_check("conjugation-sandwich", {"D": D, "deg": deg},
                                sandwich))
@@ -199,7 +207,7 @@ def _verify_tensor_bilinear(args) -> list[CheckReport]:
     D = _at_least("--D", _fill(args.D, 3), 2)
     # K = 0 is vacuous: the dropped-middle control has no terms there
     K = _at_least("--order", _fill(args.order, 1), 1)
-    nsize = _fill(args.nsize, 1)
+    nsize = _at_least("--nsize", _fill(args.nsize, 1), 1)
     # degree 0 or index 0 cannot tell the middle factor apart: vacuous
     d_ext = _at_least("--deg", _fill(args.deg, 1), 1)
     p_ext = _at_least("--pmax", _fill(args.pmax, 2), 1)

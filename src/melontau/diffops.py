@@ -21,7 +21,7 @@ graded in sqrtLam degree, so grade-by-grade restriction is sound.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
 from .scalars import GaussRat
 from .series import Monomial, Series
@@ -125,13 +125,46 @@ class DiffOp:
         admit, if given, is an extra predicate admit(hl, times) on each
         result's sqrtLam power and time letters, checked before the
         Monomial is built; rejected results are discarded.
+
+        Only pairs that can land in the ring are visited.  A per-call index
+        maps each time letter (c, p) to the series terms containing it, in
+        series order (so results arrive in the order of a double loop),
+        and an op term with derivatives runs over the shortest list among
+        its derivative letters (any other term is annihilated).  Each candidate is then checked from integers before
+        its times are copied: sqrtLam power, z window, and the series
+        term's time degree and weight plus the op term's change of them.
         """
         out = Series(series.trunc)
         terms = out.terms
-        admits = out.trunc.admits
+        box = out.trunc
+        admits = box.admits
         trusted = Monomial._trusted
+        max_weight = (inf if box.max_time_weight is None
+                      else box.max_time_weight)
+        entries = []
+        by_letter = {}
+        for sm, sc in series.terms.items():
+            entry = (sm, sc) + sm.grade()
+            entries.append(entry)
+            for key, _e in sm.times:
+                by_letter.setdefault(key, []).append(entry)
         for (m, mu, de), c in self.terms.items():
-            for sm, sc in series.terms.items():
+            if de:
+                candidates = min((by_letter.get(key, ()) for key, _a in de),
+                                 key=len)
+            else:
+                candidates = entries
+            hl_cap = box.max_hl - m.hl
+            z_lo = box.z_min - m.zexp
+            z_hi = box.z_max - m.zexp
+            deg_cap = (box.max_time_deg - sum(b for _k, b in mu)
+                       + sum(a for _k, a in de))
+            weight_cap = (max_weight - sum(p * b for (_c, p), b in mu)
+                          + sum(p * a for (_c, p), a in de))
+            for sm, sc, deg, weight in candidates:
+                if (sm.hl > hl_cap or not z_lo <= sm.zexp <= z_hi
+                        or deg > deg_cap or weight > weight_cap):
+                    continue
                 times = sm.times
                 val = 1
                 if de or mu:

@@ -27,9 +27,13 @@ because z shifts implement charge factors whose loss would corrupt residues.
 
 Everything is a plain dict keyed by Monomial; values are GaussRat and never
 zero.  A Monomial caches its hash; the public constructor validates, merges
-and sorts its times, while Monomial.mul, DiffOp.apply and the Series maps
-derive, shift_z, residue_z and eval_N, whose inputs are valid monomials
-already, build their results unchecked.
+and sorts its times, while Monomial.mul (and through it Series.mul),
+DiffOp.apply and the Series maps derive, shift_z, residue_z and eval_N,
+whose inputs are valid monomials already, build their results unchecked.
+The two product kernels, Series.mul and DiffOp.apply, first reject from
+integers (time degree and weight, and in apply also sqrtLam power and z)
+the pairs whose product cannot land in the box, so they build only
+Monomials that admits then checks.
 
 USeries, at the end of the module, is the one-variable truncated series:
 a coefficient list indexed by power, over Fraction or NPoly.  The one-matrix
@@ -37,6 +41,7 @@ checks at concrete size and the 2x2 BCH closed form use it.
 """
 
 from fractions import Fraction
+from math import inf
 
 from .scalars import GaussRat
 
@@ -117,6 +122,14 @@ class Monomial:
 
     def time_weight(self):
         return sum(p * e for (_c, p), e in self.times)
+
+    def grade(self):
+        """(time degree, time weight) in one pass over the times."""
+        deg = weight = 0
+        for (_c, p), e in self.times:
+            deg += e
+            weight += p * e
+        return deg, weight
 
     def mul(self, other):
         """Product monomial and the integer carry 2**((h2+h2')//2)."""
@@ -387,6 +400,12 @@ class Series:
         admit, if given, is an extra predicate on the product monomial;
         products failing it are discarded during the loop (used by the
         bilinear pipelines to keep only a verified sub-box).
+
+        Time degree and weight add under multiplication, so the larger
+        operand is bucketed by (time degree, time weight) and each term of
+        the smaller one visits the buckets in sorted order: it stops at the
+        first bucket over the box's time degree and skips those over its
+        time weight, never building those products.
         """
         trunc = self.trunc.meet(other.trunc)
         out = Series(trunc)
@@ -395,22 +414,35 @@ class Series:
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
+        max_deg = trunc.max_time_deg
+        max_weight = (inf if trunc.max_time_weight is None
+                      else trunc.max_time_weight)
+        buckets = {}
+        for m2, c2 in big.items():
+            buckets.setdefault(m2.grade(), []).append((m2, c2))
+        buckets = sorted(buckets.items())
         for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                mono, carry = m1.mul(m2)
-                if not trunc.admits(mono):
+            deg1, weight1 = m1.grade()
+            for (deg2, weight2), row in buckets:
+                if deg1 + deg2 > max_deg:
+                    break
+                if weight1 + weight2 > max_weight:
                     continue
-                if admit is not None and not admit(mono):
-                    continue
-                c = c1 * c2
-                if carry != 1:
-                    c = c * carry
-                cur = out.terms.get(mono)
-                tot = c if cur is None else cur + c
-                if tot.is_zero():
-                    out.terms.pop(mono, None)
-                else:
-                    out.terms[mono] = tot
+                for m2, c2 in row:
+                    mono, carry = m1.mul(m2)
+                    if not trunc.admits(mono):
+                        continue
+                    if admit is not None and not admit(mono):
+                        continue
+                    c = c1 * c2
+                    if carry != 1:
+                        c = c * carry
+                    cur = out.terms.get(mono)
+                    tot = c if cur is None else cur + c
+                    if tot.is_zero():
+                        out.terms.pop(mono, None)
+                    else:
+                        out.terms[mono] = tot
         return out
 
     def __mul__(self, other):

@@ -71,6 +71,17 @@ def test_sandwich_minus_vertex(D):
         assert conjugation_sandwich_residual(mono, D, sign=-1).is_zero(), mono
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("D", [2, 3])
+def test_sandwich_wrong_closed_form_scale_fails(monkeypatch, D, sign):
+    # negative control: [A, Y] at twice the A-scale is not the dressing
+    orig = bilinear.closed_form_AY
+    monkeypatch.setattr(bilinear, "closed_form_AY",
+                        lambda *args, **kw: orig(*args, **dict(kw, scale=2)))
+    assert any(not conjugation_sandwich_residual(m, D, sign=sign).is_zero()
+               for m in basis_monomials(D, 2, 2))
+
+
 # -- equal-size bilinear, one-matrix side ---------------------------------
 
 

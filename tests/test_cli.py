@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ import melontau
 from melontau import bilinear
 from melontau.cli import _zero_check, main
 from melontau.reports import CheckReport, emit
+from melontau.series import Series, TruncSpec
 
 
 MELON_JSON = json.dumps({
@@ -161,6 +163,8 @@ UNREAD_FLAGS = ["verify %s --%s 3" % (suite, flag) for suite, flag in (
     "verify tensor-bilinear --order -1",
     "verify tensor-bilinear --order 0",
     "verify commutator --pmax 0",
+    "verify hirota --nsize 0",
+    "verify tensor-bilinear --nsize 0",
 ] + UNREAD_FLAGS)
 def test_invalid_or_vacuous_config_exits_2(capsys, argv):
     *_, suite, flag, _value = argv.split()
@@ -180,6 +184,24 @@ def test_failed_zero_check_shows_lowest_residual_terms():
     assert not rep.passed
     assert rep.detail == ("2 nonzero residual term(s), lowest: "
                           "-1/1/0/1 * t[1,1]^1; 1/1/0/1 * t[2,1]^1")
+
+
+def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
+    trunc = TruncSpec(2, 2, 2)
+    bad = (Series(trunc).add_term(Fraction(1, 2), hl=1)
+           .add_term(-3, times=(((2, 1), 1),)).add_term(1, hl=2)
+           .add_term(5, zexp=1))
+    monkeypatch.setattr(bilinear, "conjugation_sandwich_residual",
+                        lambda mono, D: bad)
+    code, out, _ = run_cli(capsys, "verify", "conjugation", "--D", "2",
+                           "--deg", "0")
+    assert code == 1
+    sandwich = [json.loads(x) for x in out.strip().splitlines()][1]
+    assert sandwich["name"] == "conjugation-sandwich"
+    assert not sandwich["passed"]
+    assert sandwich["detail"] == (
+        "mismatch at 1: 4 nonzero residual term(s), lowest: "
+        "-3/1/0/1 * t[2,1]^1; 5/1/0/1 * z^1; 1/2/0/1 * sqrtLam^1")
 
 
 def test_unknown_subcommand_exits_2():
