@@ -60,23 +60,33 @@ One pipeline
 Every factor above (the equal-size V_+-, the dressed tensor vertex, the
 undeformed factor of the K = 0 reduction and both sides of the sandwich)
 runs one chain, _vertex: e^{-+B}, the optional middle factor e^{-+[A,Y]},
-the charge z^{-+N}, restriction to the output box, then e^{+-aA} built on
-that box.  A caller only picks the ring (_hirota_ring, _tensor_ring), the
-output box, B (symbolic or concrete N) and the middle factor.
+the charge z^{-+N}, restriction to the output box, then e^{+-aA} on that
+box.  A caller only picks the ring (_hirota_ring, _tensor_ring), the
+output box, N (symbolic or concrete) and the middle factor.
+
+Both exponentials are applied in closed form.  e^{-+B} is the Miwa shift
+t[c,n] -> t[c,n] -+ z^{-n}/(nN), box-pruned: each input term is expanded
+once, over how many copies of each active letter it keeps, and only the
+choices that can still reach the output box are enumerated
+(_miwa_shift).  e^{+-aA} is one product with the series
+exp(+-a sum_n z^n t[c,n]) (_exp_A).  B only lowers degree, weight and z
+and A only raises them, so a term that leaves the ring never comes back:
+one truncation at the end equals truncating every iterate of the
+operator, as apply_exp does.
 
 Every stage from e^{Y} to the output box is a pure derivative (Y, B and
 [A, Y] have no multiplication part), so a term only loses letters on its
 way there.  _reach turns this into the admit predicate that the product
-of the one-matrix series, e^{Y}, e^{-+B} and the middle factor check on
-every term they form: B strips active letters of index >= 1 for free, a
-Y or middle application strips one letter of each colour it acts on for
-sqrtLam >= max(1, stripped index sum), and what no stage left can strip
-must already fit the box.  It reads degree, indices and sqrtLam, never z,
-so it drops only terms the restriction would drop later: every factor is
-unchanged term by term, deep z included.  The colour-budget prefilter on
-the one-matrix series is a different cut, a z-counting bound
-(sum beta <= P) that is exact for the residue only.  The sandwich's box
-is its ring, so nothing is pruned there.
+of the one-matrix series, e^{Y}, the Miwa shift and the middle factor
+check on the terms they form: B strips active letters of index >= 1 for
+free, a Y or middle application strips one letter of each colour it acts
+on for sqrtLam >= max(1, stripped index sum), and what no stage left can
+strip must already fit the box.  It reads degree, indices and sqrtLam,
+never z, so it drops only terms the restriction would drop later: every
+factor is unchanged term by term, deep z included.  The colour-budget
+prefilter on the one-matrix series is a different cut, a z-counting
+bound (sum beta <= P) that is exact for the residue only.  The
+sandwich's box is its ring, so nothing is pruned there.
 
 Only the residue is box-exact, not each factor: a factor's deep-z terms
 are clipped by the ring's weight cap and change when the ring grows, while
@@ -85,7 +95,9 @@ recompute the equal-size and the deformed residue in a ring with every
 cap raised by 1.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import comb, factorial
 
 from .diffops import DiffOp
 from .scalars import GaussRat
@@ -106,16 +118,15 @@ def build_A(c, trunc, scale=1):
     return op
 
 
-def build_B(c, trunc, nsize=None):
-    """B^c = sum_{n>=1} (z^{-n}/n) N^{-1} d/dt^c_n; nsize=None keeps N
-    symbolic (N^{-1} = sqrtN^{-2}), as in z1mm_series."""
+def build_B(c, trunc):
+    """B^c = sum_{n>=1} (z^{-n}/n) N^{-1} d/dt^c_n at symbolic N
+    (N^{-1} = sqrtN^{-2}), as in z1mm_series.  The vertex chain applies
+    e^{-+B} in closed form (_miwa_shift); this operator is what the
+    dressing identities compose."""
     op = DiffOp(trunc)
     for n in range(1, trunc.p_max + 1):
-        if nsize is None:
-            coeff, mono = Fraction(1, n), Monomial(hn=-2, zexp=-n)
-        else:
-            coeff, mono = Fraction(1, n * nsize), Monomial(zexp=-n)
-        op.add_term(GaussRat(coeff), mono, derivs=(((c, n), 1),))
+        op.add_term(GaussRat(Fraction(1, n)), Monomial(hn=-2, zexp=-n),
+                    derivs=(((c, n), 1),))
     return op
 
 
@@ -228,27 +239,126 @@ def _reach(box, c, stages):
     return admit
 
 
-def _vertex(s, sign, c, B, box, a_val=1, middle=None, charge=0):
+def _miwa_shift(s, lam, c, nsize, box, admit_in=None, admit_out=None):
+    """e^{lam B^c} s in closed form, in the ring of s: the Miwa shift
+    t[c,n] -> t[c,n] + lam z^{-n}/(nN) of each letter B differentiates
+    (1 <= n <= p_max with z^{-n} in the window, as in build_B).  nsize=None
+    keeps N symbolic (N^{-1} = sqrtN^{-2}).
+
+    Each input term is expanded once: a letter t[c,p]^e keeps r of its e
+    copies, and the k = e - r stripped ones contribute
+    C(e, k) (lam/(pN))^k z^{-pk}.  No later stage of the chain strips
+    colour c, so the choices that keep a letter of index > box.p_max or
+    more than box.max_time_deg colour-c letters, or that take z below the
+    window, are never enumerated.  admit_in filters the input terms and
+    admit_out the results, as admit(hl, times).
+
+    >>> ring = TruncSpec(0, 2, 2, (-4, 4))
+    >>> s = Series(ring).add_term(1, times=(((1, 2), 2),))
+    >>> print(_miwa_shift(s, -1, 1, 2, ring))   # (t - z^-2/4)^2
+    (1/16)*z^-4 + (-1/2)*z^-2 * t[1,2]^1 + (1)*t[1,2]^2
+    """
+    z_min = s.trunc.z_min
+    p_b = min(s.trunc.p_max, -z_min)
+    out = Series(s.trunc)
+    factor = {}                 # (p, e, k) -> C(e, k) (lam/(pN))^k
+    for m, coeff in s.terms.items():
+        if admit_in is not None and not admit_in(m.hl, m.times):
+            continue
+        # the letters B differentiates are one block of the sorted times
+        times = m.times
+        lo = bisect_left(times, ((c, 1), 0))
+        hi = bisect_left(times, ((c, p_b + 1), 0))
+        head, tail = times[:lo], times[hi:]
+        kept = sum(e for (cc, _p), e in head + tail if cc == c)
+        # partial expansions: (z, colour-c letters kept, kept block,
+        # coefficient, letters stripped)
+        partial = [(m.zexp, kept, (), coeff, 0)]
+        for key, e in times[lo:hi]:
+            p = key[1]
+            nxt = []
+            for z, kept, block, cf, n in partial:
+                for k in range(max(e if p > box.p_max else 0,
+                                   e + kept - box.max_time_deg),
+                               min(e, (z - z_min) // p) + 1):
+                    f = factor.get((p, e, k))
+                    if f is None:
+                        f = factor[(p, e, k)] = GaussRat(comb(e, k) * (
+                            Fraction(lam, p if nsize is None
+                                     else p * nsize) ** k))
+                    nxt.append((z - p * k, kept + e - k,
+                                block + ((key, e - k),) if k < e else block,
+                                cf * f, n + k))
+            partial = nxt
+        for z, _kept, block, cf, n in partial:
+            new_times = head + block + tail
+            if admit_out is None or admit_out(m.hl, new_times):
+                out._put(Monomial._trusted(
+                    m.hl, m.hn - 2 * n if nsize is None else m.hn, m.h2, z,
+                    new_times), cf)
+    return out
+
+
+def _exp_A(c, box, scale):
+    """exp(scale A^c) = prod_{n<=p_max} exp(scale z^n t^c_n), the series
+    e^{scale A^c} multiplies by: every term prod (scale z^n t^c_n)^{e_n}
+    / e_n! within box's degree and weight caps.  A only raises degree,
+    weight and z, so one truncated product equals the truncated iterates
+    of A.  A term's z is its weight, and it may exceed z_max by -z_min:
+    a box term below z^0 can still carry it into the box.
+
+    >>> print(_exp_A(1, TruncSpec(0, 1, 1, (-1, 1)), 2))
+    (1)*1 + (2)*t[1,0]^1 + (2)*z^1 * t[1,1]^1
+    """
+    deg = box.max_time_deg
+    top = box.z_max - box.z_min
+    if box.max_time_weight is not None:
+        top = min(top, box.max_time_weight)
+    rows = [((), 0, 0, 1)]      # times, degree, weight, prod e_n!
+    for n in range(min(box.p_max, box.z_max) + 1):
+        rows = [(times + (((c, n), e),) if e else times, d + e, w + n * e,
+                 den * factorial(e))
+                for times, d, w, den in rows for e in range(deg - d + 1)
+                if w + n * e <= top]
+    out = Series(TruncSpec(box.max_hl, deg, box.p_max,
+                           (box.z_min, box.z_max - box.z_min),
+                           max_time_weight=box.max_time_weight))
+    coeff = {}                  # (degree, prod e_n!) -> scale^degree / it
+    for times, d, w, den in rows:
+        cf = coeff.get((d, den))
+        if cf is None:
+            cf = coeff[(d, den)] = GaussRat(Fraction(scale ** d, den))
+        out.terms[Monomial._trusted(0, 0, 0, w, times)] = cf
+    return out
+
+
+def _vertex(s, sign, c, nsize, box, a_val=1, middle=None, charge=0):
     """e^{sign a A^c} restrict_box z^charge e^{-sign middle} e^{-sign B} s.
 
     The one vertex chain behind every bilinear factor, applied rightmost
-    first in the ring of s.  middle (the dressing [A^c, Y]) and the charge
-    are optional.  B and the middle factor drop, as they go, the terms
-    _reach proves cannot land in the output box, which is then restricted
-    to; both steps are skipped when box is the ring itself.  A^c is built
-    on box.  Raises WindowError when a term of the result sits on the z
-    boundary: clipped partners could then have cancelled it.
+    first in the ring of s, with B^c at size nsize (None: symbolic N).
+    middle (the dressing [A^c, Y]) and the charge are optional.  e^{-+B}
+    is the Miwa shift (_miwa_shift) and e^{+-aA} one product with
+    _exp_A on box.  The shift and the middle factor drop, as they go, the
+    terms _reach proves cannot land in the output box, which is then
+    restricted to; both steps are skipped when box is the ring itself.
+    Raises WindowError when a term of the result sits on the z boundary:
+    clipped partners could then have cancelled it.
     """
     whole = box == s.trunc
-    u = B.apply_exp(s, -sign, None if whole else
-                    _reach(box, c, "B" if middle is None else "BM"))
+
+    def reach(stages):
+        return None if whole else _reach(box, c, stages)
+
+    mid = "" if middle is None else "M"
+    u = _miwa_shift(s, -sign, c, nsize, box, reach("B" + mid), reach(mid))
     if middle is not None:
-        u = middle.apply_exp(u, -sign, None if whole else _reach(box, c, "M"))
+        u = middle.apply_exp(u, -sign, reach("M"))
     if charge:
         u = u.shift_z(charge)
     if not whole:
         u = u.restrict(box)
-    out = build_A(c, box, scale=sign * a_val).apply_exp(u)
+    out = u.mul(_exp_A(c, box, sign * a_val))
     for m in out.terms:
         if m.zexp in (box.z_min, box.z_max):
             raise WindowError("bilinear factor touches the z boundary")
@@ -314,12 +424,12 @@ def conjugation_sandwich_residual(mono, D, c=1, sign=1, hl_cap=4, p_ring=4,
     s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
                              zexp=mono.zexp, times=mono.times)
     u = Y_L.apply_exp(s, scale=-1)
-    u = _vertex(u, sign, c, build_B(c, t_L), t_L)
+    u = _vertex(u, sign, c, None, t_L)
     lhs = Y_L.apply_exp(u).restrict(t_R)
 
     s2 = Series(t_R).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
                               zexp=mono.zexp, times=mono.times)
-    rhs = _vertex(s2, sign, c, build_B(c, t_R), t_R,
+    rhs = _vertex(s2, sign, c, None, t_R,
                   middle=closed_form_AY(D, c, t_R, colours=colours))
     return lhs - rhs
 
@@ -369,8 +479,8 @@ def hirota_factor(sign, c, nsize, d_ext, p_ext, a_scale="N",
         ring = _hirota_ring(d_ext, p_ext, max(d_ext * P, W) + nsize + 2)
     if ring.z_max < W + nsize + 2:
         raise ValueError("z window too small to certify the residue")
-    return _vertex(z1mm_series(ring, colour=c, nsize=nsize), sign, c,
-                   build_B(c, ring, nsize), _out_box(ring, d_ext, p_ext),
+    return _vertex(z1mm_series(ring, colour=c, nsize=nsize), sign, c, nsize,
+                   _out_box(ring, d_ext, p_ext),
                    a_val=nsize if a_scale == "N" else 1,
                    charge=-sign * nsize if charge_literal else sign * nsize)
 
@@ -466,8 +576,7 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
     s = build_Y(D, ring, colours).apply_exp(prod, admit=reach)
     mid = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
            if with_middle else None)
-    return _vertex(s, sign, c_act, build_B(c_act, ring, nsize), box, a_val,
-                   mid, -sign * nsize)
+    return _vertex(s, sign, c_act, nsize, box, a_val, mid, -sign * nsize)
 
 
 def tensor_bilinear_residual(D, K, nsize, c=1, d_ext=1, p_ext=2,
@@ -496,8 +605,8 @@ def tensor_reduction_residual(D, nsize, c=1, d_ext=1, p_ext=2,
     lhs = tensor_vertex_factor(+1, D, 0, nsize, c, d_ext, p_ext, a_scale,
                                prefilter=False)
     ring = _tensor_ring(D, 0, nsize, d_ext, p_ext)
-    rhs = _vertex(z1mm_series(ring, colour=c, nsize=nsize), +1, c,
-                  build_B(c, ring, nsize), _out_box(ring, d_ext, p_ext),
+    rhs = _vertex(z1mm_series(ring, colour=c, nsize=nsize), +1, c, nsize,
+                  _out_box(ring, d_ext, p_ext),
                   a_val=nsize if a_scale == "N" else 1, charge=-nsize)
     # the spectators carry no colour-c time, so they commute with the
     # whole vertex chain and multiply in after it

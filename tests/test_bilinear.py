@@ -1,11 +1,15 @@
 """Vertex operators, bilinear residues, and the operator dressing."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from melontau import bilinear
 from melontau.bilinear import (
     basis_monomials,
     build_A,
+    build_B,
     calibrate_conventions,
     charge_commutes_with_Y,
     closed_form_AY,
@@ -18,7 +22,8 @@ from melontau.bilinear import (
     tensor_vertex_factor,
 )
 from melontau.decomposition import build_Y
-from melontau.series import Monomial, TruncSpec
+from melontau.diffops import DiffOp
+from melontau.series import Monomial, Series, TruncSpec
 
 
 # -- operator-level identities --------------------------------------------
@@ -150,6 +155,22 @@ def test_middle_factor_is_load_bearing():
     assert tensor_bilinear_residual(2, 1, 1, p_ext=1).is_zero()
 
 
+@pytest.mark.parametrize("D,K,nsize,kwargs", [
+    (3, 1, 2, {}),
+    (2, 1, 1, dict(d_ext=2, p_ext=2)),
+])
+def test_deformed_bilinear_larger_sizes(D, K, nsize, kwargs):
+    assert tensor_bilinear_residual(D, K, nsize, **kwargs).is_zero()
+    # negative control: the middle factor is load-bearing at this size too
+    assert not tensor_bilinear_residual(D, K, nsize, with_middle=False,
+                                        **kwargs).is_zero()
+
+
+def test_naive_a_scale_fails_on_the_tensor_side():
+    # N = 2 is where the naive scale fails on the one-matrix side
+    assert not tensor_bilinear_residual(3, 1, 2, a_scale="1").is_zero()
+
+
 def test_colour_budget_filters_lose_nothing():
     # slow path: the unfiltered ring; agreement on the residue-relevant
     # window is what licenses the budget filters used everywhere else
@@ -160,6 +181,30 @@ def test_colour_budget_filters_lose_nothing():
     fb = fb.filter(lambda m: m.zexp >= lo)
     assert not fa.is_zero()
     assert (fa - fb).is_zero()
+
+
+def _B_at(c, ring, nsize):
+    """B^c at size nsize (None: symbolic N) as an operator, the reference
+    for the closed-form Miwa shift."""
+    if nsize is None:
+        return build_B(c, ring)
+    op = DiffOp(ring)
+    for n in range(1, ring.p_max + 1):
+        op.add_term(Fraction(1, n * nsize), Monomial(zexp=-n),
+                    derivs=(((c, n), 1),))
+    return op
+
+
+def _operator_vertex(s, sign, c, nsize, box, a_val=1, middle=None, charge=0):
+    """_vertex as the plain operator chain with no pruning: e^{-+B} and the
+    middle factor by apply_exp, then the charge, the box and e^{+-aA} by
+    apply_exp of build_A."""
+    u = _B_at(c, s.trunc, nsize).apply_exp(s, -sign)
+    if middle is not None:
+        u = middle.apply_exp(u, -sign)
+    if charge:
+        u = u.shift_z(charge)
+    return build_A(c, box, scale=sign * a_val).apply_exp(u.restrict(box))
 
 
 def _factor_case(fn, *args, **kwargs):
@@ -182,8 +227,9 @@ def _factor_case(fn, *args, **kwargs):
     for d, p in ((1, 2), (2, 3))
 ])
 def test_vertex_pruning_is_exact(monkeypatch, fn, args, kwargs):
-    # _reach only drops terms that cannot reach the output box, so the
-    # whole factor, deep z included, is the one computed without it
+    # _reach and the Miwa shift's bounds only drop terms that cannot reach
+    # the output box, so the whole factor, deep z included, is the one the
+    # unpruned operator chain computes
     factor = getattr(bilinear, fn)
     reach = bilinear._reach
     dropped = []
@@ -202,7 +248,104 @@ def test_vertex_pruning_is_exact(monkeypatch, fn, args, kwargs):
     pruned = factor(*args, **kwargs).serialize()
     assert pruned and dropped
     monkeypatch.setattr(bilinear, "_reach", lambda *a: lambda hl, times: True)
+    monkeypatch.setattr(bilinear, "_vertex", _operator_vertex)
     assert factor(*args, **kwargs).serialize() == pruned
+
+
+# -- the closed forms of e^{-+B} and e^{+-aA} against the operators --------
+
+
+@st.composite
+def _rings(draw, middle=False):
+    """A small ring; the middle factor's Y needs p_max >= max_hl.  Its
+    weight cap, when it has one, is one that binds."""
+    hl = draw(st.integers(0, 2))
+    deg = draw(st.integers(0, 4))
+    p_max = draw(st.integers(hl if middle else 0, 3))
+    weight = draw(st.one_of(st.none(), st.integers(0, deg * p_max)))
+    return TruncSpec(hl, deg, p_max,
+                     (draw(st.integers(-6, 0)), draw(st.integers(0, 6))),
+                     max_time_weight=weight)
+
+
+@st.composite
+def _boxes_in(draw, ring):
+    """An output box inside ring, with the ring's z window (as _out_box)."""
+    deg = draw(st.integers(0, ring.max_time_deg))
+    p_max = draw(st.integers(0, ring.p_max))
+    weight = draw(st.one_of(st.none(), st.integers(0, deg * p_max)))
+    return TruncSpec(draw(st.integers(0, ring.max_hl)), deg, p_max,
+                     (ring.z_min, ring.z_max), max_time_weight=weight)
+
+
+@st.composite
+def _series_in(draw, ring):
+    """Terms over the active colour 1 (mostly) and colour 2 with exponents
+    up to 3, z on or near the window's edges more often than not."""
+    z_lo, z_hi = ring.z_min, ring.z_max
+    zexp = st.one_of(st.sampled_from((z_lo, z_hi)),
+                     st.integers(z_lo, min(z_lo + 3, z_hi)),
+                     st.integers(max(z_hi - 3, z_lo), z_hi),
+                     st.integers(z_lo, z_hi))
+    letter = st.tuples(st.tuples(st.sampled_from((1, 1, 2)),
+                                 st.integers(0, ring.p_max)),
+                       st.integers(1, max(1, min(3, ring.max_time_deg))))
+    s = Series(ring)
+    for _ in range(draw(st.integers(0, 8))):
+        s.add_term(draw(st.integers(-3, 3).filter(bool)),
+                   hl=draw(st.integers(0, ring.max_hl)),
+                   hn=draw(st.integers(-2, 2)), h2=draw(st.integers(0, 1)),
+                   zexp=draw(zexp), times=draw(st.lists(letter, max_size=3)))
+    return s
+
+
+LAMBDAS = st.sampled_from((1, -1))
+SIZES = st.sampled_from((None, 1, 2, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_miwa_shift_is_exp_B(data):
+    ring = data.draw(_rings())
+    s = data.draw(_series_in(ring))
+    lam, nsize = data.draw(LAMBDAS), data.draw(SIZES)
+    want = _B_at(1, ring, nsize).apply_exp(s, lam)
+    got = bilinear._miwa_shift(s, lam, 1, nsize, ring)
+    assert got.serialize() == want.serialize()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_boxed_miwa_shift_is_exp_B(data):
+    # the shift's enumeration bounds and _reach drop only terms the box
+    # drops later, with or without the middle factor between
+    middle = data.draw(st.booleans())
+    ring = data.draw(_rings(middle))
+    box = data.draw(_boxes_in(ring))
+    s = data.draw(_series_in(ring))
+    lam, nsize = data.draw(LAMBDAS), data.draw(SIZES)
+    mid = "M" if middle else ""
+    got = bilinear._miwa_shift(s, lam, 1, nsize, box,
+                               bilinear._reach(box, 1, "B" + mid),
+                               bilinear._reach(box, 1, mid))
+    want = _B_at(1, ring, nsize).apply_exp(s, lam)
+    if middle:
+        op = closed_form_AY(2, 1, ring,
+                            scale=data.draw(st.sampled_from((1, 2))))
+        got = op.apply_exp(got, lam, bilinear._reach(box, 1, "M"))
+        want = op.apply_exp(want, lam)
+    assert got.restrict(box).serialize() == want.restrict(box).serialize()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exp_A_product_is_exp_A(data):
+    box = data.draw(_rings())
+    u = data.draw(_series_in(box))
+    scale = data.draw(st.sampled_from((1, -1, 2, -3)))
+    want = build_A(1, box, scale=scale).apply_exp(u)
+    assert (u.mul(bilinear._exp_A(1, box, scale)).serialize()
+            == want.serialize())
 
 
 # -- box sufficiency: a strictly larger ring certifies the same residue ----
