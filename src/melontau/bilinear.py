@@ -485,19 +485,16 @@ def hirota_factor(sign, c, nsize, d_ext, p_ext, a_scale="N",
                    charge=-sign * nsize if charge_literal else sign * nsize)
 
 
-def hirota_residual(nsize, d_ext=2, p_ext=3, a_scale="N", charge_literal=True,
-                    zwindow=None):
+def hirota_residual(nsize, d_ext=2, p_ext=3, a_scale="N", charge_literal=True):
     """Res_z V_+ Z[t] . V_- Z[t~] on the box; zero iff the identity holds.
 
-    The two time sets are colour tags 1 and 2.  zwindow overrides the
-    half-width of the z window; too-shallow values are rejected rather
-    than silently certifying nothing.
+    The two time sets are colour tags 1 and 2.  Each factor derives its
+    ring, z window included, from the sizes (see hirota_factor).
     """
-    ring = None if zwindow is None else _hirota_ring(d_ext, p_ext, zwindow)
     f_plus = hirota_factor(+1, 1, nsize, d_ext, p_ext, a_scale,
-                           charge_literal, ring)
+                           charge_literal, None)
     f_minus = hirota_factor(-1, 2, nsize, d_ext, p_ext, a_scale,
-                            charge_literal, ring)
+                            charge_literal, None)
     prod = f_plus.mul(
         f_minus,
         admit=lambda m: m.zexp == -1 and m.time_degree() <= d_ext)

@@ -8,14 +8,17 @@ Layout:
     melontau graph   {degree,jackets}
     melontau moment  {matrix,tensor}
 
-verify emits one JSON CheckReport per line on stdout (--format text for
-human lines) and a one-line summary on stderr; exit code 0 when every
-check passed, 1 otherwise, 2 for unusable configuration.  compute/graph/
-moment print their result as a single JSON object (or plain text).
+Each subcommand accepts only the flags it reads.  _COMMANDS declares them
+once, with each flag's default and least value; the subparsers, the
+defaults, the exit-2 checks and --help are built from it.  A tuple
+default runs the check once per value.  Defaults are the sizes the test
+suite pins down; larger boxes are exact too, just slower.
 
-Sizes left unset pick the documented defaults of each check, which are
-the sizes the test suite pins down; larger boxes are exact too, just
-slower.
+verify emits one JSON CheckReport per line on stdout (--format text for
+human lines) and a one-line summary on stderr.  Exit code 0 when every
+check passed, 1 otherwise, 2 for a value below its least or a flag only
+other subcommands read.  compute/graph/moment print one JSON object (or
+plain text).
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ from . import bilinear, decomposition, onematrix, wick
 from .graphs import ColoredGraph
 from .reports import CheckReport, emit, timed_check
 from .series import USeries
-
-
-def _fill(value, default):
-    return default if value is None else value
 
 
 def _at_least(flag, value, low):
@@ -62,19 +61,16 @@ def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
 
 
 def _verify_commutator(args) -> list[CheckReport]:
-    # Yhat has no terms at index cap 0: vacuous
-    max_q = _at_least("--pmax", _fill(args.pmax, 4), 1)
-    Ds = ([_at_least("--D", args.D, 1)] if args.D is not None
-          else [2, 3, 4])
+    max_q = args.pmax
     return [
         _zero_check("commutator", {"D": D, "max_q": max_q},
                     lambda D=D: decomposition.commutator_residual(D, max_q))
-        for D in Ds
+        for D in args.D
     ]
 
 
 def _verify_bch(args) -> list[CheckReport]:
-    order = _at_least("--order", _fill(args.order, 8), 0)
+    order = args.order
 
     def run():
         (a, b), (c, d) = decomposition.bch_log_product(order)
@@ -89,10 +85,7 @@ def _verify_bch(args) -> list[CheckReport]:
 
 
 def _verify_decomposition(args) -> list[CheckReport]:
-    # D = 1 has no intermediate matrix and K = 0 only the constant term
-    D = _at_least("--D", _fill(args.D, 3), 2)
-    K = _at_least("--order", _fill(args.order, 1), 1)
-    out = []
+    D, K = args.D, args.order
 
     def run():
         d_int, d_op = decomposition.decomposition_residuals(D, K)
@@ -101,14 +94,11 @@ def _verify_decomposition(args) -> list[CheckReport]:
         return False, "intermediate diff %d term(s), operator diff %d" % (
             len(d_int.terms), len(d_op.terms))
 
-    out.append(timed_check("decomposition", {"D": D, "K": K}, run))
-    return out
+    return [timed_check("decomposition", {"D": D, "K": K}, run)]
 
 
 def _verify_grading(args) -> list[CheckReport]:
-    # the grading rests on the intermediate field, which needs D >= 2
-    D = _at_least("--D", _fill(args.D, 3), 2)
-    K = _at_least("--order", _fill(args.order, 2), 1)
+    D, K = args.D, args.order
 
     def run():
         expo = decomposition.tensor_free_energy_exponents(D, K)
@@ -125,8 +115,7 @@ def _verify_grading(args) -> list[CheckReport]:
 
 
 def _verify_virasoro(args) -> list[CheckReport]:
-    p_ext = _fill(args.pmax, 4)
-    deg = _fill(args.deg, 3)
+    p_ext, deg = args.pmax, args.deg
     return [
         _zero_check("virasoro", {"n": n, "p_ext": p_ext, "deg": deg},
                     lambda n=n: onematrix.virasoro_residual(n, p_ext, deg))
@@ -135,8 +124,7 @@ def _verify_virasoro(args) -> list[CheckReport]:
 
 
 def _verify_orthopoly(args) -> list[CheckReport]:
-    max_size = _at_least("--nsize", _fill(args.nsize, 3), 1)
-    order = _at_least("--order", _fill(args.order, 2), 0)
+    max_size, order = args.nsize, args.order
     out = []
     for size in range(1, max_size + 1):
         def run(size=size):
@@ -163,25 +151,21 @@ def _verify_orthopoly(args) -> list[CheckReport]:
 
 
 def _verify_hirota(args) -> list[CheckReport]:
-    # degree 0 or index 0 cannot tell the a-scale apart: vacuous
-    d_ext = _at_least("--deg", _fill(args.deg, 2), 1)
-    p_ext = _at_least("--pmax", _fill(args.pmax, 3), 1)
-    sizes = ([_at_least("--nsize", args.nsize, 1)] if args.nsize is not None
-             else [1, 2])
+    d_ext, p_ext = args.deg, args.pmax
     return [
         _zero_check("hirota", {"nsize": n, "deg": d_ext, "p_ext": p_ext},
-                    lambda n=n: bilinear.hirota_residual(
-                        n, d_ext, p_ext, zwindow=args.zwindow))
-        for n in sizes
+                    lambda n=n: bilinear.hirota_residual(n, d_ext, p_ext))
+        for n in args.nsize
     ]
 
 
 def _verify_conjugation(args) -> list[CheckReport]:
-    # the sandwich needs a colour besides the active one
-    Ds = [_at_least("--D", args.D, 2)] if args.D is not None else [2, 3]
-    deg = _at_least("--deg", _fill(args.deg, 2), 0)
+    # below degree D-1 no basis monomial has a letter in every non-active
+    # colour, so e^Y never fires and the sandwich cannot fail: vacuous
+    degs = [max(2, D - 1) if args.deg is None
+            else _at_least("--deg", args.deg, D - 1) for D in args.D]
     out = []
-    for D in Ds:
+    for D, deg in zip(args.D, degs):
         def ops(D=D):
             res = bilinear.dressing_op_residuals(D)
             bad = [k for k, v in res.items() if not v.is_zero()]
@@ -190,7 +174,7 @@ def _verify_conjugation(args) -> list[CheckReport]:
             return True, "all four operator identities hold"
         out.append(timed_check("conjugation-ops", {"D": D}, ops))
 
-        def sandwich(D=D):
+        def sandwich(D=D, deg=deg):
             for mono in bilinear.basis_monomials(D, deg, 2):
                 r = bilinear.conjugation_sandwich_residual(mono, D)
                 if not r.is_zero():
@@ -203,194 +187,206 @@ def _verify_conjugation(args) -> list[CheckReport]:
 
 
 def _verify_tensor_bilinear(args) -> list[CheckReport]:
-    # the dressing Yhat is the intermediate field, which needs D >= 2
-    D = _at_least("--D", _fill(args.D, 3), 2)
-    # K = 0 is vacuous: the dropped-middle control has no terms there
-    K = _at_least("--order", _fill(args.order, 1), 1)
-    nsize = _at_least("--nsize", _fill(args.nsize, 1), 1)
-    # degree 0 or index 0 cannot tell the middle factor apart: vacuous
-    d_ext = _at_least("--deg", _fill(args.deg, 1), 1)
-    p_ext = _at_least("--pmax", _fill(args.pmax, 2), 1)
-    out = [_zero_check(
-        "tensor-bilinear",
-        {"D": D, "K": K, "nsize": nsize, "deg": d_ext, "p_ext": p_ext},
-        lambda: bilinear.tensor_bilinear_residual(D, K, nsize, 1, d_ext,
-                                                  p_ext))]
-    out.append(_zero_check(
-        "tensor-bilinear-reduction", {"D": D, "nsize": nsize},
-        lambda: bilinear.tensor_reduction_residual(D, nsize)))
-    return out
+    D, K, nsize = args.D, args.order, args.nsize
+    d_ext, p_ext = args.deg, args.pmax
+    return [
+        _zero_check(
+            "tensor-bilinear",
+            {"D": D, "K": K, "nsize": nsize, "deg": d_ext, "p_ext": p_ext},
+            lambda: bilinear.tensor_bilinear_residual(D, K, nsize, 1, d_ext,
+                                                      p_ext)),
+        _zero_check("tensor-bilinear-reduction", {"D": D, "nsize": nsize},
+                    lambda: bilinear.tensor_reduction_residual(D, nsize))]
 
 
-# the verify suites that read each size flag; the others refuse it
-_READ_BY = {
-    "zwindow": ("hirota",),
-    "nsize": ("orthopoly", "hirota", "tensor-bilinear"),
-}
-
-_VERIFY = {
-    "commutator": _verify_commutator,
-    "bch": _verify_bch,
-    "decomposition": _verify_decomposition,
-    "grading": _verify_grading,
-    "virasoro": _verify_virasoro,
-    "orthopoly": _verify_orthopoly,
-    "hirota": _verify_hirota,
-    "conjugation": _verify_conjugation,
-    "tensor-bilinear": _verify_tensor_bilinear,
-}
+# -- compute / graph / moment: each returns (JSON payload, text) -----------
 
 
-# -- compute / graph / moment ----------------------------------------------
+def _compute_tutte(args) -> tuple[dict, str]:
+    vals = onematrix.planar_two_point(args.order)
+    return ({"order": args.order, "signed": [str(v) for v in vals],
+             "counts": [str(abs(v)) for v in vals]},
+            "planar two-point t4-coefficients: %s" % ", ".join(map(str, vals)))
 
 
-def _result(args, payload: dict, text: str) -> int:
-    if args.format == "text":
-        print(text)
-    else:
-        print(json.dumps(payload, sort_keys=True))
-    return 0
-
-
-def _compute_tutte(args) -> int:
-    order = _at_least("--order", _fill(args.order, 4), 0)
-    vals = onematrix.planar_two_point(order)
-    return _result(
-        args,
-        {"order": order, "signed": [str(v) for v in vals],
-         "counts": [str(abs(v)) for v in vals]},
-        "planar two-point t4-coefficients: %s" % ", ".join(map(str, vals)))
-
-
-def _compute_free_energy(args) -> int:
-    # the output starts at t4^1
-    order = _at_least("--order", _fill(args.order, 3), 1)
-    coeffs = onematrix.free_energy_quartic(order)
-    payload = {"order": order,
+def _compute_free_energy(args) -> tuple[dict, str]:
+    coeffs = onematrix.free_energy_quartic(args.order)
+    payload = {"order": args.order,
                "coefficients": {str(k + 1): {str(e): str(c)
                                              for e, c in p.c.items()}
                                 for k, p in enumerate(coeffs)}}
     lines = ["[t4^%d] log Z = %s" % (k + 1, p) for k, p in enumerate(coeffs)]
-    return _result(args, payload, "\n".join(lines))
+    return payload, "\n".join(lines)
 
 
 def _read_graph(args) -> ColoredGraph:
     if not args.file:
         raise ValueError("graph/moment commands need --file (path or '-')")
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-    return ColoredGraph.from_json(text)
+    if args.file == "-":
+        return ColoredGraph.from_json(sys.stdin.read())
+    with open(args.file) as f:
+        return ColoredGraph.from_json(f.read())
 
 
-def _graph_degree(args) -> int:
+def _graph_degree(args) -> tuple[dict, str]:
     g = _read_graph(args)
     genera = {"-".join(map(str, j)): g.jacket_genus(j) for j in g.jackets()}
-    return _result(
-        args,
-        {"D": g.D, "white": g.k, "degree": g.gurau_degree(),
-         "jacket_genera": genera},
-        "degree %d; jacket genera %s" % (g.gurau_degree(), genera))
+    return ({"D": g.D, "white": g.k, "degree": g.gurau_degree(),
+             "jacket_genera": genera},
+            "degree %d; jacket genera %s" % (g.gurau_degree(), genera))
 
 
-def _graph_jackets(args) -> int:
+def _graph_jackets(args) -> tuple[dict, str]:
     g = _read_graph(args)
     js = [list(j) for j in g.jackets()]
-    return _result(args, {"D": g.D, "jackets": js},
-                   "\n".join(",".join(map(str, j)) for j in js))
+    return ({"D": g.D, "jackets": js},
+            "\n".join(",".join(map(str, j)) for j in js))
 
 
-def _moment_matrix(args) -> int:
+def _moment_matrix(args) -> tuple[dict, str]:
     word = tuple(args.powers)
     if any(p < 0 for p in word):
         raise ValueError("trace powers must be >= 0")
     m = wick.hermitian_moment(word)
-    return _result(args,
-                   {"word": list(word),
-                    "moment": {str(k): str(v) for k, v in sorted(m.c.items())}},
-                   "<%s> = %s" % (" ".join("TrM^%d" % p for p in word), m))
+    return ({"word": list(word),
+             "moment": {str(k): str(v) for k, v in sorted(m.c.items())}},
+            "<%s> = %s" % (" ".join("TrM^%d" % p for p in word), m))
 
 
-def _moment_tensor(args) -> int:
+def _moment_tensor(args) -> tuple[dict, str]:
     g = _read_graph(args)
     m = wick.tensor_moment(g.perms)
-    return _result(args,
-                   {"D": g.D, "white": g.k,
-                    "moment": {str(k): str(v) for k, v in sorted(m.c.items())}},
-                   "<invariant> = %s" % m)
+    return ({"D": g.D, "white": g.k,
+             "moment": {str(k): str(v) for k, v in sorted(m.c.items())}},
+            "<invariant> = %s" % m)
 
 
 # -- argument surface ------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--D", type=int, default=None,
-                        help="number of tensor colours")
-    common.add_argument("-K", "--order", type=int, default=None,
-                        help="coupling/series order")
-    common.add_argument("--pmax", type=int, default=None,
-                        help="largest time index kept")
-    common.add_argument("--deg", type=int, default=None,
-                        help="largest time degree kept")
-    common.add_argument("--nsize", type=int, default=None,
-                        help="concrete matrix size")
-    common.add_argument("--zwindow", type=int, default=None,
-                        help="half-width override for the z window")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--file", default=None,
-                        help="input file for graph/moment commands ('-' = stdin)")
+# the shared flags: dest -> (option strings, type, help)
+_FLAGS = {
+    "D": (("--D",), int, "number of tensor colours"),
+    "order": (("-K", "--order"), int, "coupling/series order"),
+    "pmax": (("--pmax",), int, "largest time index kept"),
+    "deg": (("--deg",), int, "largest time degree kept"),
+    "nsize": (("--nsize",), int, "concrete matrix size"),
+    "file": (("--file",), str, "input graph JSON file ('-' = stdin)"),
+}
+_DEST = {opt: dest for dest, (opts, _, _) in _FLAGS.items() for opt in opts}
 
+# cmd -> (help, sub -> (handler, dest -> (default, least[, help note])));
+# every subcommand also reads --format
+_COMMANDS = {
+    "verify": ("run an identity check suite", {
+        # Yhat has no terms at index cap 0: vacuous
+        "commutator": (_verify_commutator,
+                       {"D": ((2, 3, 4), 1), "pmax": (4, 1)}),
+        "bch": (_verify_bch, {"order": (8, 0)}),
+        # D = 1 has no intermediate matrix (which the grading rests on
+        # too) and K = 0 only the constant term
+        "decomposition": (_verify_decomposition,
+                          {"D": (3, 2), "order": (1, 1)}),
+        "grading": (_verify_grading, {"D": (3, 2), "order": (2, 1)}),
+        # index or degree cap 0 hides a wrong operator: vacuous
+        "virasoro": (_verify_virasoro, {"pmax": (4, 1), "deg": (3, 1)}),
+        "orthopoly": (_verify_orthopoly, {"nsize": (3, 1), "order": (2, 0)}),
+        # degree 0 or index 0 cannot tell the a-scale apart: vacuous
+        "hirota": (_verify_hirota, {"deg": (2, 1), "pmax": (3, 1),
+                                    "nsize": ((1, 2), 1)}),
+        # the sandwich needs a colour besides the active one; the degree
+        # bound depends on D, so the handler fills and checks it
+        "conjugation": (_verify_conjugation, {"D": ((2, 3), 2), "deg": (
+            None, 1, "default max(2, D-1); at least D-1")}),
+        # Yhat needs D >= 2; K = 0, degree 0 and index 0 cannot tell the
+        # middle factor apart (the dropped-middle control vanishes there)
+        "tensor-bilinear": (_verify_tensor_bilinear, {
+            "D": (3, 2), "order": (1, 1), "nsize": (1, 1), "deg": (1, 1),
+            "pmax": (2, 1)}),
+    }),
+    # free-energy output starts at t4^1
+    "compute": ("print exact computed values", {
+        "tutte": (_compute_tutte, {"order": (4, 0)}),
+        "free-energy": (_compute_free_energy, {"order": (3, 1)})}),
+    "graph": ("coloured-graph invariants", {
+        "degree": (_graph_degree, {"file": (None, None)}),
+        "jackets": (_graph_jackets, {"file": (None, None)})}),
+    "moment": ("exact Gaussian moments", {
+        "matrix": (_moment_matrix, {}),
+        "tensor": (_moment_tensor, {"file": (None, None)})}),
+}
+
+
+def _flag_help(dest, default, least, note=None):
+    if note is None and least is not None:
+        note = "default %s; at least %d" % (
+            " then ".join(map(str, default)) if isinstance(default, tuple)
+            else default, least)
+    return "%s (%s)" % (_FLAGS[dest][2], note) if note else _FLAGS[dest][2]
+
+
+def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="melontau",
         description="exact order-by-order checks for the melonic tensor "
                     "model and its matrix-model decomposition")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    pv = sub.add_parser("verify", help="run an identity check suite")
-    sv = pv.add_subparsers(dest="sub", required=True)
-    for name in _VERIFY:
-        sv.add_parser(name, parents=[common])
-
-    pc = sub.add_parser("compute", help="print exact computed values")
-    sc = pc.add_subparsers(dest="sub", required=True)
-    sc.add_parser("tutte", parents=[common])
-    sc.add_parser("free-energy", parents=[common])
-
-    pg = sub.add_parser("graph", help="coloured-graph invariants")
-    sg = pg.add_subparsers(dest="sub", required=True)
-    sg.add_parser("degree", parents=[common])
-    sg.add_parser("jackets", parents=[common])
-
-    pm = sub.add_parser("moment", help="exact Gaussian moments")
-    sm = pm.add_subparsers(dest="sub", required=True)
-    mm = sm.add_parser("matrix", parents=[common])
-    mm.add_argument("powers", nargs="+", type=int, metavar="P",
-                    help="trace powers of the moment word")
-    sm.add_parser("tensor", parents=[common])
+    for cmd, (help_, subs) in _COMMANDS.items():
+        ss = sub.add_parser(cmd, help=help_).add_subparsers(dest="sub",
+                                                            required=True)
+        for name, (handler, flags) in subs.items():
+            sp = ss.add_parser(name)
+            sp.set_defaults(run=handler, flags=flags)
+            if handler is _moment_matrix:
+                sp.add_argument("powers", nargs="+", type=int, metavar="P",
+                                help="trace powers of the moment word")
+            for dest, spec in flags.items():
+                opts, type_, _ = _FLAGS[dest]
+                sp.add_argument(*opts, dest=dest, type=type_,
+                                help=_flag_help(dest, *spec))
+            sp.add_argument("--format", choices=("json", "text"),
+                            default="json", help="output (default json)")
     return p
 
 
+def _parse(argv=None) -> argparse.Namespace:
+    """The command line, each declared flag at its value or default.
+
+    ValueError names a shared flag this subcommand does not read or a value
+    below its least; any other stray argument is an argparse error."""
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    for token in extras:
+        dest = _DEST.get(token.split("=")[0])
+        if dest is not None:
+            raise ValueError("--%s is not read by %s %s"
+                             % (dest, args.cmd, args.sub))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    for dest, (default, least, *_) in args.flags.items():
+        value = getattr(args, dest)
+        if value is None:
+            setattr(args, dest, default)
+        elif least is not None:
+            _at_least("--" + dest, value, least)
+            if isinstance(default, tuple):
+                setattr(args, dest, (value,))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _parse(argv)
+        out = args.run(args)
         if args.cmd == "verify":
-            for flag, suites in _READ_BY.items():
-                if getattr(args, flag) is not None and args.sub not in suites:
-                    raise ValueError("--%s is not read by verify %s"
-                                     % (flag, args.sub))
-            return emit(_VERIFY[args.sub](args), args.format)
-        if args.cmd == "compute":
-            return (_compute_tutte if args.sub == "tutte"
-                    else _compute_free_energy)(args)
-        if args.cmd == "graph":
-            return (_graph_degree if args.sub == "degree"
-                    else _graph_jackets)(args)
-        if args.cmd == "moment":
-            return (_moment_matrix if args.sub == "matrix"
-                    else _moment_tensor)(args)
+            return emit(out, args.format)
+        payload, text = out
+        print(text if args.format == "text"
+              else json.dumps(payload, sort_keys=True))
+        return 0
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command %r" % args.cmd)
 
 
 if __name__ == "__main__":

@@ -130,9 +130,10 @@ class DiffOp:
         maps each time letter (c, p) to the series terms containing it, in
         series order (so results arrive in the order of a double loop),
         and an op term with derivatives runs over the shortest list among
-        its derivative letters (any other term is annihilated).  Each candidate is then checked from integers before
-        its times are copied: sqrtLam power, z window, and the series
-        term's time degree and weight plus the op term's change of them.
+        its derivative letters (any other term is annihilated).  Each
+        candidate is then checked from integers before its times are
+        copied: sqrtLam power, z window, and the series term's time degree
+        and weight plus the op term's change of them.
         """
         out = Series(series.trunc)
         terms = out.terms

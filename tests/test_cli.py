@@ -2,15 +2,18 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import melontau
-from melontau import bilinear
-from melontau.cli import _zero_check, main
+from melontau import bilinear, onematrix
+from melontau.cli import _parse, _zero_check, main
+from melontau.diffops import DiffOp
 from melontau.reports import CheckReport, emit
 from melontau.series import Series, TruncSpec
 
@@ -61,17 +64,20 @@ def test_verify_hirota_small(capsys):
     assert all(r["passed"] for r in reps)
 
 
-def test_shallow_zwindow_is_config_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "hirota", "--deg", "1",
-                           "--pmax", "2", "--zwindow", "3")
-    assert code == 2
-    assert "window" in err
-
-
 def test_threads_flag_rejected():
     # the flag never did anything and is gone: argparse refuses it
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bch", "--threads", "4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "verify tensor-bilinear --zwindow 3", "verify orthopoly --zwindow 3",
+    "verify virasoro --zwindow 3", "verify hirota --zwindow 3"])
+def test_zwindow_flag_rejected(argv):
+    # the z window is derived from the sizes; no subcommand has the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
     assert exc.value.code == 2
 
 
@@ -136,9 +142,8 @@ def test_moment_tensor_from_file(tmp_path, capsys):
 
 # a size flag the suite never reads
 UNREAD_FLAGS = ["verify %s --%s 3" % (suite, flag) for suite, flag in (
-    ("tensor-bilinear", "zwindow"), ("orthopoly", "zwindow"),
-    ("virasoro", "zwindow"), ("virasoro", "nsize"), ("commutator", "nsize"),
-    ("bch", "nsize"), ("decomposition", "nsize"), ("grading", "nsize"),
+    ("virasoro", "nsize"), ("commutator", "nsize"), ("bch", "nsize"),
+    ("decomposition", "nsize"), ("grading", "nsize"),
     ("conjugation", "nsize"))]
 
 
@@ -165,6 +170,12 @@ UNREAD_FLAGS = ["verify %s --%s 3" % (suite, flag) for suite, flag in (
     "verify commutator --pmax 0",
     "verify hirota --nsize 0",
     "verify tensor-bilinear --nsize 0",
+    "verify virasoro --pmax -1",
+    "verify virasoro --deg -1",
+    "verify virasoro --pmax 0",
+    "verify virasoro --deg 0",
+    "verify conjugation --deg 1",
+    "verify conjugation --D 4 --deg 2",
 ] + UNREAD_FLAGS)
 def test_invalid_or_vacuous_config_exits_2(capsys, argv):
     *_, suite, flag, _value = argv.split()
@@ -194,7 +205,7 @@ def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
     monkeypatch.setattr(bilinear, "conjugation_sandwich_residual",
                         lambda mono, D: bad)
     code, out, _ = run_cli(capsys, "verify", "conjugation", "--D", "2",
-                           "--deg", "0")
+                           "--deg", "1")
     assert code == 1
     sandwich = [json.loads(x) for x in out.strip().splitlines()][1]
     assert sandwich["name"] == "conjugation-sandwich"
@@ -202,6 +213,129 @@ def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
     assert sandwich["detail"] == (
         "mismatch at 1: 4 nonzero residual term(s), lowest: "
         "-3/1/0/1 * t[2,1]^1; 5/1/0/1 * z^1; 1/2/0/1 * sqrtLam^1")
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_conjugation_control_fails_at_least_degree(capsys, monkeypatch, D):
+    # negative control: [A, Y] at twice the A-scale must fail at the least
+    # accepted degree D-1; one degree lower e^Y never fires and is refused
+    orig = bilinear.closed_form_AY
+    monkeypatch.setattr(bilinear, "closed_form_AY",
+                        lambda *args, **kw: orig(*args, **dict(kw, scale=2)))
+    code, out, _ = run_cli(capsys, "verify", "conjugation", "--D", str(D),
+                           "--deg", str(D - 1))
+    assert code == 1
+    sandwich = [json.loads(x) for x in out.strip().splitlines()][1]
+    assert not sandwich["passed"]
+    assert sandwich["params"] == {"D": D, "deg": D - 1}
+    code, out, err = run_cli(capsys, "verify", "conjugation", "--D", str(D),
+                             "--deg", str(D - 2))
+    assert code == 2 and out == ""
+    assert "error: --deg must be at least %d" % (D - 1) in err
+
+
+def test_virasoro_control_fails_at_least_sizes(capsys, monkeypatch):
+    # negative control: doubling the p t_p d/dt_{p+n} terms of L_n must
+    # fail at the least accepted box, --pmax 1 --deg 1 (it passes at
+    # index cap 0 or degree cap 0, which are refused)
+    orig = onematrix.virasoro_op
+
+    def doubled(n, trunc, colour=1):
+        op = orig(n, trunc, colour)
+        extra = DiffOp(trunc)
+        for (mono, mults, derivs), c in op.terms.items():
+            if mults:
+                extra.add_term(c, mono, mults, derivs)
+        return op + extra
+
+    monkeypatch.setattr(onematrix, "virasoro_op", doubled)
+    code, out, _ = run_cli(capsys, "verify", "virasoro", "--pmax", "1",
+                           "--deg", "1")
+    assert code == 1
+    reps = [json.loads(x) for x in out.strip().splitlines()]
+    assert [r["params"]["n"] for r in reps if not r["passed"]] == [-1, 1]
+    assert all(r["params"]["p_ext"] == r["params"]["deg"] == 1 for r in reps)
+
+
+# the flags each subcommand reads, written out by hand: 41 in all
+READS = {
+    "verify commutator": {"--D", "--pmax", "--format"},
+    "verify bch": {"--order", "--format"},
+    "verify decomposition": {"--D", "--order", "--format"},
+    "verify grading": {"--D", "--order", "--format"},
+    "verify virasoro": {"--pmax", "--deg", "--format"},
+    "verify orthopoly": {"--nsize", "--order", "--format"},
+    "verify hirota": {"--deg", "--pmax", "--nsize", "--format"},
+    "verify conjugation": {"--D", "--deg", "--format"},
+    "verify tensor-bilinear": {"--D", "--order", "--nsize", "--deg",
+                               "--pmax", "--format"},
+    "compute tutte": {"--order", "--format"},
+    "compute free-energy": {"--order", "--format"},
+    "graph degree": {"--file", "--format"},
+    "graph jackets": {"--file", "--format"},
+    "moment matrix": {"--format"},
+    "moment tensor": {"--file", "--format"},
+}
+SHARED = ("--D", "--order", "--pmax", "--deg", "--nsize", "--format",
+          "--file")
+UNREAD_PAIRS = [(cmd, flag) for cmd in READS for flag in SHARED
+                if flag not in READS[cmd]]
+
+
+@pytest.mark.parametrize("cmd,flag", UNREAD_PAIRS)
+def test_unread_shared_flag_exits_2(capsys, cmd, flag):
+    # refused before anything runs, whatever the value
+    value = "melon.json" if flag == "--file" else "3"
+    positional = ["2"] if cmd == "moment matrix" else []
+    code, out, err = run_cli(capsys, *cmd.split(), *positional, flag, value)
+    assert code == 2
+    assert out == ""
+    assert "error: %s is not read by %s" % (flag, cmd) in err
+
+
+def test_short_order_flag_is_refused_by_its_long_name(capsys):
+    code, _, err = run_cli(capsys, "verify", "virasoro", "-K", "3")
+    assert code == 2
+    assert "error: --order is not read by verify virasoro" in err
+
+
+@pytest.mark.parametrize("cmd", sorted(READS))
+def test_help_lists_exactly_the_read_flags(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd.split(), "--help"])
+    assert exc.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*",
+                           capsys.readouterr().out))
+    want = READS[cmd] | ({"-K"} if "--order" in READS[cmd] else set())
+    assert shown - {"-h", "--help"} == want
+
+
+def test_readme_command_lines_parse():
+    # parse only: every `melontau` line of the README is accepted and
+    # passes only flags its subcommand reads
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln.split("#")[0].split()[1:]
+             for ln in readme.read_text().splitlines()
+             if ln.startswith("melontau ")]
+    assert {" ".join(argv[:2]) for argv in lines} == set(READS)
+    for argv in lines:
+        _parse(argv)
+        flags = {"--order" if t == "-K" else t.split("=")[0]
+                 for t in argv if t.startswith("-")}
+        assert flags <= READS[" ".join(argv[:2])], argv
+
+
+def test_graph_file_is_closed(tmp_path):
+    f = tmp_path / "melon.json"
+    f.write_text(MELON_JSON)
+    src = os.path.dirname(os.path.dirname(melontau.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+         "melontau", "graph", "degree", "--file", str(f)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_unknown_subcommand_exits_2():
