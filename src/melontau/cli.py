@@ -11,8 +11,9 @@ Layout:
 Each subcommand accepts only the flags it reads.  _COMMANDS declares them
 once, with each flag's default and least value; the subparsers, the
 defaults, the exit-2 checks and --help are built from it.  A tuple
-default runs the check once per value.  Defaults are the sizes the test
-suite pins down; larger boxes are exact too, just slower.
+default runs the check once per value.  Each flag has one spelling: no
+parser takes a prefix of a flag for the flag.  Defaults are the sizes
+the test suite pins down; larger boxes are exact too, just slower.
 
 verify emits one JSON CheckReport per line on stdout (--format text for
 human lines) and a one-line summary on stderr.  Exit code 0 when every
@@ -24,6 +25,7 @@ plain text).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -193,7 +195,7 @@ def _verify_tensor_bilinear(args) -> list[CheckReport]:
         _zero_check(
             "tensor-bilinear",
             {"D": D, "K": K, "nsize": nsize, "deg": d_ext, "p_ext": p_ext},
-            lambda: bilinear.tensor_bilinear_residual(D, K, nsize, 1, d_ext,
+            lambda: bilinear.tensor_bilinear_residual(D, K, nsize, d_ext,
                                                       p_ext)),
         _zero_check("tensor-bilinear-reduction", {"D": D, "nsize": nsize},
                     lambda: bilinear.tensor_reduction_residual(D, nsize))]
@@ -325,17 +327,20 @@ def _flag_help(dest, default, least, note=None):
     return "%s (%s)" % (_FLAGS[dest][2], note) if note else _FLAGS[dest][2]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; no parser accepts a prefix of
+    a flag for the flag."""
     p = argparse.ArgumentParser(
-        prog="melontau",
+        prog="melontau", allow_abbrev=False,
         description="exact order-by-order checks for the melonic tensor "
                     "model and its matrix-model decomposition")
     sub = p.add_subparsers(dest="cmd", required=True)
     for cmd, (help_, subs) in _COMMANDS.items():
-        ss = sub.add_parser(cmd, help=help_).add_subparsers(dest="sub",
-                                                            required=True)
+        ss = sub.add_parser(cmd, help=help_, allow_abbrev=False
+                            ).add_subparsers(dest="sub", required=True)
         for name, (handler, flags) in subs.items():
-            sp = ss.add_parser(name)
+            sp = ss.add_parser(name, allow_abbrev=False)
             sp.set_defaults(run=handler, flags=flags)
             if handler is _moment_matrix:
                 sp.add_argument("powers", nargs="+", type=int, metavar="P",
@@ -352,12 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse(argv=None) -> argparse.Namespace:
     """The command line, each declared flag at its value or default.
 
-    ValueError names a shared flag this subcommand does not read or a value
-    below its least; any other stray argument is an argparse error."""
+    ValueError names a shared flag this subcommand does not read (also
+    when written -K3 or --order=3) or a value below its least; any other
+    stray argument, a prefix of a flag included, is an argparse error."""
     parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
     for token in extras:
-        dest = _DEST.get(token.split("=")[0])
+        opt = token.split("=")[0]
+        dest = _DEST.get(opt if opt.startswith("--") else opt[:2])
         if dest is not None:
             raise ValueError("--%s is not read by %s %s"
                              % (dest, args.cmd, args.sub))

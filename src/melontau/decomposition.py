@@ -37,7 +37,7 @@ from .diffops import DiffOp
 from .scalars import GaussRat, minus_i_pow
 from .series import Monomial, Series, TruncSpec, USeries, fold_h2
 from .wick import (NPoly, hermitian_moment, tensor_moment,
-                   tensor_moment_index_oracle, quartic_pattern)
+                   tensor_moment_index_oracle)
 from .onematrix import z1mm_series
 
 
@@ -172,25 +172,25 @@ def build_X(trunc, colours):
     return op
 
 
-def commutator_residual(D, max_q, p_max=None):
-    """[Xhat, Yhat] - D*Yhat as a normal-ordered operator (zero iff pass)."""
-    p_max = max_q if p_max is None else p_max
-    trunc = TruncSpec(max_q, 0, p_max)
+def commutator_residual(D, max_q):
+    """[Xhat, Yhat] - D*Yhat as a normal-ordered operator (zero iff pass),
+    on the ring with |q| <= max_q and time indices <= max_q."""
+    trunc = TruncSpec(max_q, 0, max_q)
     colours = tuple(range(1, D + 1))
     X = build_X(trunc, colours)
     Y = build_Y(D, trunc, colours)
     return X.commutator(Y) - Y.scale(D)
 
 
-def eY_applied_z(D, order, colours=None, nsize=None):
-    """Route 3: [e^{Yhat} prod_c Z^{(c)}] at t = 0."""
-    if colours is None:
-        colours = tuple(range(1, D + 1))
+def eY_applied_z(D, order):
+    """Route 3: [e^{Yhat} prod_c Z^{(c)}] at t = 0, symbolic in N."""
+    colours = tuple(range(1, D + 1))
     hl_max = 2 * order
     trunc = TruncSpec(hl_max, D * hl_max, hl_max, max_time_weight=hl_max)
     prod = Series.one(trunc)
     for c in colours:
-        prod = prod.mul(z1mm_series(trunc, colour=c, nsize=nsize))
+        # nsize=None spelled out: bench/digests.json keys on this call shape
+        prod = prod.mul(z1mm_series(trunc, colour=c, nsize=None))
     Y = build_Y(D, trunc, colours)
     return Y.apply_exp(prod).subs_time_zero().restrict(
         TruncSpec(hl_max, 0, 0))

@@ -21,7 +21,7 @@ graded in sqrtLam degree, so grade-by-grade restriction is sound.
 """
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 
 from .scalars import GaussRat
 from .series import Monomial, Series
@@ -140,8 +140,6 @@ class DiffOp:
         box = out.trunc
         admits = box.admits
         trusted = Monomial._trusted
-        max_weight = (inf if box.max_time_weight is None
-                      else box.max_time_weight)
         entries = []
         by_letter = {}
         for sm, sc in series.terms.items():
@@ -160,7 +158,8 @@ class DiffOp:
             z_hi = box.z_max - m.zexp
             deg_cap = (box.max_time_deg - sum(b for _k, b in mu)
                        + sum(a for _k, a in de))
-            weight_cap = (max_weight - sum(p * b for (_c, p), b in mu)
+            weight_cap = (box.max_time_weight
+                          - sum(p * b for (_c, p), b in mu)
                           + sum(p * a for (_c, p), a in de))
             for sm, sc, deg, weight in candidates:
                 if (sm.hl > hl_cap or not z_lo <= sm.zexp <= z_hi

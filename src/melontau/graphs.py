@@ -24,6 +24,8 @@ with vertices 0-based and colours 1-based.
 import json
 from itertools import permutations, product
 
+from .wick import _cycles
+
 
 class ColoredGraph:
     """D-coloured bipartite graph given by per-colour matchings.
@@ -126,18 +128,7 @@ class ColoredGraph:
         inv_b = [0] * self.k
         for w in range(self.k):
             inv_b[pb[w]] = w
-        comp = [inv_b[pa[w]] for w in range(self.k)]
-        seen = [False] * self.k
-        count = 0
-        for s in range(self.k):
-            if seen[s]:
-                continue
-            count += 1
-            t = s
-            while not seen[t]:
-                seen[t] = True
-                t = comp[t]
-        return count
+        return _cycles([inv_b[pa[w]] for w in range(self.k)])
 
     def jacket_faces(self, order):
         return sum(self._pair_cycles(order[i], order[(i + 1) % len(order)])

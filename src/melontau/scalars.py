@@ -17,9 +17,7 @@ def _frac(x):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError("expected int/Fraction/str, got %r" % (x,))
+    raise TypeError("expected int/Fraction, got %r" % (x,))
 
 
 class GaussRat:
@@ -216,8 +214,6 @@ def _reduced(a, b, d):
     return _new(a, b, d)
 
 
-ZERO = GaussRat(0)
-ONE = GaussRat(1)
 I = GaussRat(0, 1)
 
 

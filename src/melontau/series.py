@@ -18,12 +18,14 @@ term-construction time (see Monomial.mul's carry and Series._put).  lambda
 means sqrtLam^2 and N means sqrtN^2 throughout.
 
 Truncation: a TruncSpec is an explicit box (max sqrtLam power, max total time
-degree, max time index, z window, optional max weighted time degree
-sum_p p*e_p).  Arithmetic silently discards out-of-box products — truncation
-is part of the ring, not an error.  *Querying* a coefficient outside the box
-is an error (OutsideTruncationError): the caller is asking about an order the
-ring never tracked.  Shifting in z refuses to silently drop (WindowError),
-because z shifts implement charge factors whose loss would corrupt residues.
+degree, max time index, z window, max weighted time degree sum_p p*e_p; a
+box built without a weight cap gets p_max * max_time_deg, which no
+monomial in it exceeds).  Arithmetic silently discards out-of-box
+products — truncation is part of the ring, not an error.  *Querying* a
+coefficient outside the box is an error (OutsideTruncationError): the
+caller is asking about an order the ring never tracked.  Shifting in z
+refuses to silently drop (WindowError), because z shifts implement charge
+factors whose loss would corrupt residues.
 
 Everything is a plain dict keyed by Monomial; values are GaussRat and never
 zero.  A Monomial caches its hash; the public constructor validates, merges
@@ -41,7 +43,6 @@ checks at concrete size and the 2x2 BCH closed form use it.
 """
 
 from fractions import Fraction
-from math import inf
 
 from .scalars import GaussRat
 
@@ -196,11 +197,15 @@ ONE_MONO = Monomial()
 class TruncSpec:
     """Explicit truncation box.
 
-    z_window is a closed interval [z_min, z_max].  max_time_weight (cap on
-    sum_p p*e_p; t[c,0] has weight 0) is optional and defaults to None
-    (uncapped); it is the level cut that keeps the bilinear rings small.
+    z_window is a closed interval [z_min, z_max].  max_time_weight caps
+    sum_p p*e_p (t[c,0] has weight 0); it is the level cut that keeps the
+    bilinear rings small.  Left out (None), it is derived as
+    p_max * max_time_deg, the largest weight the other caps allow, so the
+    box admits the same monomials as with no weight cap.
 
     >>> a = TruncSpec(4, 3, 5, (-2, 2))
+    >>> a
+    TruncSpec(max_hl=4, max_time_deg=3, p_max=5, z_window=(-2, 2), max_time_weight=15)
     >>> b = TruncSpec(2, 7, 4, (-1, 3), max_time_weight=10)
     >>> a.meet(b)
     TruncSpec(max_hl=2, max_time_deg=3, p_max=4, z_window=(-1, 2), max_time_weight=10)
@@ -221,7 +226,8 @@ class TruncSpec:
         self.p_max = p_max
         self.z_min = z_min
         self.z_max = z_max
-        self.max_time_weight = max_time_weight
+        self.max_time_weight = (p_max * max_time_deg if max_time_weight is None
+                                else max_time_weight)
 
     def admits(self, mono):
         if mono.hl > self.max_hl:
@@ -237,9 +243,7 @@ class TruncSpec:
             weight += p * e
         if deg > self.max_time_deg:
             return False
-        if self.max_time_weight is not None and weight > self.max_time_weight:
-            return False
-        return True
+        return weight <= self.max_time_weight
 
     def require(self, mono):
         if not self.admits(mono):
@@ -252,16 +256,13 @@ class TruncSpec:
         """
         if other is self or other == self:
             return self
-        w = None
-        if self.max_time_weight is not None or other.max_time_weight is not None:
-            w = min(x for x in (self.max_time_weight, other.max_time_weight)
-                    if x is not None)
         return TruncSpec(min(self.max_hl, other.max_hl),
                          min(self.max_time_deg, other.max_time_deg),
                          min(self.p_max, other.p_max),
                          (max(self.z_min, other.z_min),
                           min(self.z_max, other.z_max)),
-                         max_time_weight=w)
+                         max_time_weight=min(self.max_time_weight,
+                                             other.max_time_weight))
 
     def __eq__(self, other):
         return (isinstance(other, TruncSpec) and
@@ -271,12 +272,10 @@ class TruncSpec:
                  other.z_max, other.max_time_weight))
 
     def __repr__(self):
-        s = ("TruncSpec(max_hl=%d, max_time_deg=%d, p_max=%d, z_window=(%d, %d)"
-             % (self.max_hl, self.max_time_deg, self.p_max, self.z_min,
-                self.z_max))
-        if self.max_time_weight is not None:
-            s += ", max_time_weight=%d" % self.max_time_weight
-        return s + ")"
+        return ("TruncSpec(max_hl=%d, max_time_deg=%d, p_max=%d, "
+                "z_window=(%d, %d), max_time_weight=%d)"
+                % (self.max_hl, self.max_time_deg, self.p_max, self.z_min,
+                   self.z_max, self.max_time_weight))
 
 
 class Series:
@@ -298,9 +297,9 @@ class Series:
         return cls(trunc)
 
     @classmethod
-    def one(cls, trunc, coeff=1):
+    def one(cls, trunc):
         s = cls(trunc)
-        s._put(ONE_MONO, _as_coeff(coeff))
+        s._put(ONE_MONO, GaussRat(1))
         return s
 
     @classmethod
@@ -415,8 +414,7 @@ class Series:
         if len(small) > len(big):
             small, big = big, small
         max_deg = trunc.max_time_deg
-        max_weight = (inf if trunc.max_time_weight is None
-                      else trunc.max_time_weight)
+        max_weight = trunc.max_time_weight
         buckets = {}
         for m2, c2 in big.items():
             buckets.setdefault(m2.grade(), []).append((m2, c2))

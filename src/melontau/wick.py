@@ -4,7 +4,7 @@ The normalized Hermitian Gaussian has covariance <M_ij M_kl> = d_il d_jk / N.
 A multi-trace moment < prod_i Tr M^{p_i} > is a Laurent polynomial in N.
 Two independent engines compute it:
 
- * "recursion", the production engine: Gaussian integration by parts on
+ * "auto", the production recursion: Gaussian integration by parts on
    the first trace,
        <Tr M^p R> = (1/N) [ sum_{d=0}^{p-2} <Tr M^d Tr M^{p-2-d} R>
                             + sum_{TrM^q in R} q <Tr M^{p+q-2} R/TrM^q> ],
@@ -104,16 +104,13 @@ class NPoly:
         return sum((v * Fraction(n) ** k for k, v in self.c.items()),
                    Fraction(0))
 
-    def to_series(self, trunc, extra=None, coeff=1):
-        """As a Series: N^k -> sqrtN^{2k}, optionally times a fixed monomial."""
+    def to_series(self, trunc, extra, coeff):
+        """As a Series times coeff * extra: N^k -> sqrtN^{2k} times the
+        monomial extra."""
         s = Series(trunc)
         for k, v in self.c.items():
-            if extra is None:
-                s.add_term(Fraction(v) * Fraction(coeff), hn=2 * k)
-            else:
-                s.add_term(Fraction(v) * Fraction(coeff), hl=extra.hl,
-                           hn=2 * k + extra.hn, h2=extra.h2, zexp=extra.zexp,
-                           times=extra.times)
+            s.add_term(v * Fraction(coeff), hl=extra.hl, hn=2 * k + extra.hn,
+                       h2=extra.h2, zexp=extra.zexp, times=extra.times)
         return s
 
     def __repr__(self):
@@ -150,6 +147,7 @@ def trace_successor(word):
 
 
 def _cycles(perm):
+    """Number of cycles of a permutation given as its list of images."""
     n = len(perm)
     seen = [False] * n
     count = 0
@@ -226,11 +224,8 @@ def hermitian_moment(word, engine="auto"):
     """< prod_i Tr M^{p_i} > as an exact Laurent polynomial in N.
 
     word is any iterable of trace powers p_i >= 0 (Tr M^0 contributes N).
-    engine "recursion" (the production engine) and "pairing" (the
-    unmemoized reference) give the same NPoly; "auto" is the same as
-    "recursion"; it stays the default because bench/digests.json keys
-    the recorded z1mm_series digests by their keyword arguments, which
-    include engine="auto".
+    engine "auto" (the memoized recursion, the production engine) and
+    "pairing" (the unmemoized reference) give the same NPoly.
 
     >>> hermitian_moment([2])
     NPoly(1*N^1)
@@ -244,7 +239,7 @@ def hermitian_moment(word, engine="auto"):
     word = tuple(sorted(int(p) for p in word))
     if any(p < 0 for p in word):
         raise ValueError("negative trace power")
-    if engine in ("auto", "recursion"):
+    if engine == "auto":
         return _moment_recursion(word)
     if engine != "pairing":
         raise ValueError("unknown engine %r" % (engine,))
@@ -334,17 +329,6 @@ def tensor_moment_index_oracle(pattern, n):
                    for w in range(k) for c in range(D)):
                 total += 1
     return Fraction(total, n ** (k * (D - 1)))
-
-
-def quartic_pattern(D, colour):
-    """The D-colour quartic melonic invariant singled out by `colour`.
-
-    Two whites, two blacks; the distinguished colour's edges cross, every
-    other colour's edges are parallel.
-    """
-    if not 1 <= colour <= D:
-        raise ValueError("colour out of range")
-    return tuple((1, 0) if c == colour else (0, 1) for c in range(1, D + 1))
 
 
 def clear_moment_cache():

@@ -352,11 +352,14 @@ def test_exp_A_product_is_exp_A(data):
 
 
 def _enlarged(ring, zpad=1):
-    """ring with every cap raised by 1 and the z window widened by zpad."""
+    """ring with every cap raised by 1 and the z window widened by zpad.
+    A ring without a weight cap of its own (cap p_max * max_time_deg)
+    stays without one, rather than getting cap p_max * max_time_deg + 1."""
     w = ring.max_time_weight
+    uncapped = w == ring.p_max * ring.max_time_deg
     return TruncSpec(ring.max_hl + 1, ring.max_time_deg + 1, ring.p_max + 1,
                      (ring.z_min - zpad, ring.z_max + zpad),
-                     max_time_weight=None if w is None else w + 1)
+                     max_time_weight=None if uncapped else w + 1)
 
 
 def _in_both_rings(monkeypatch, ring_fn, compute, zpad=lambda ring: 1):

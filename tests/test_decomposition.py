@@ -14,11 +14,12 @@ from melontau.decomposition import (bch_gamma, bch_gamma_sym,
                                     tensor_free_energy_exponents,
                                     trace_expectation, _block_pattern,
                                     _compositions)
-from melontau.wick import tensor_moment, quartic_pattern
+from melontau.graphs import ColoredGraph
+from melontau.wick import tensor_moment
 
 
 def test_block_pattern_single_is_quartic_melon():
-    assert _block_pattern(3, (2,)) == quartic_pattern(3, 2)
+    assert _block_pattern(3, (2,)) == ColoredGraph.quartic_melon(3, 2).perms
 
 
 def test_direct_z_first_order_value():
@@ -77,7 +78,7 @@ def test_trace_expectation_factorizes_over_colours():
 
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_commutator_identity_operator_level(D):
-    assert commutator_residual(D, max_q=4, p_max=4).is_zero()
+    assert commutator_residual(D, max_q=4).is_zero()
 
 
 def test_commutator_on_basis_monomials():

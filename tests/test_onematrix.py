@@ -50,8 +50,9 @@ def test_hankel_respects_weight_cap():
 
 
 def test_time_multisets_counts():
-    # all multisets over p in 1..3 with total count <= 2
-    got = sorted(tuple(sorted(d.items())) for d in time_multisets(3, 2))
+    # all multisets over p in 1..3 with total count <= 2 (weight cap 3 * 2
+    # never binds)
+    got = sorted(tuple(sorted(d.items())) for d in time_multisets(3, 2, 6))
     assert len(got) == 1 + 3 + 6
     assert all(sum(a for _, a in d) <= 2 for d in got)
     wad = list(time_multisets(4, 10, max_weight=4))
@@ -119,7 +120,7 @@ def test_virasoro_inner_ring_is_large_enough(n, p_ext, deg):
     for bump in (0, 1):
         ring = TruncSpec(bump, deg + 2 + bump, p_ext + max(n, 0) + 2 + bump,
                          max_time_weight=p_ext * deg + max(n, 0) + 2 + bump)
-        z = z1mm_series(ring, engine="recursion")
+        z = z1mm_series(ring)
         seen.append([g.apply(z).restrict(box).serialize()
                      for g in _virasoro_groups(n, ring)])
     assert seen[0] == seen[1]

@@ -47,6 +47,36 @@ def test_meet_of_equal_boxes_is_self():
     assert a.meet(b) is not a and a.meet(b) == a
 
 
+def test_uncapped_box_is_the_box_capped_at_p_max_times_degree():
+    a = TruncSpec(4, 3, 5, (-2, 2))
+    assert a.max_time_weight == 15
+    assert a == TruncSpec(4, 3, 5, (-2, 2), max_time_weight=15)
+    assert a.meet(TruncSpec(4, 3, 5, (-2, 2), max_time_weight=15)) is a
+    assert TruncSpec(2, 0, 3).max_time_weight == 0
+
+
+def test_repr_always_shows_the_weight_cap():
+    assert repr(TruncSpec(1, 2, 3)) == (
+        "TruncSpec(max_hl=1, max_time_deg=2, p_max=3, z_window=(-64, 64), "
+        "max_time_weight=6)")
+    assert repr(TruncSpec(1, 2, 3, (-1, 1), max_time_weight=4)) == (
+        "TruncSpec(max_hl=1, max_time_deg=2, p_max=3, z_window=(-1, 1), "
+        "max_time_weight=4)")
+
+
+def test_meet_of_capped_and_uncapped_boxes():
+    capped = TruncSpec(3, 3, 3, (-2, 2), max_time_weight=8)
+    uncapped = TruncSpec(2, 2, 3, (-1, 3))
+    for box in (capped.meet(uncapped), uncapped.meet(capped)):
+        # min(8, 3 * 2): the uncapped box's derived cap, so the meet is
+        # uncapped too
+        assert box == TruncSpec(2, 2, 3, (-1, 2))
+    tight = TruncSpec(3, 3, 3, (-2, 2), max_time_weight=1)
+    assert tight.meet(uncapped).max_time_weight == 1
+    assert uncapped.meet(tight) == TruncSpec(2, 2, 3, (-1, 2),
+                                             max_time_weight=1)
+
+
 def test_add_with_different_boxes_filters():
     big, small = TruncSpec(4, 4, 4), TruncSpec(2, 1, 4)
     a = Series(big).add_term(1, hl=3).add_term(2, hl=1)
@@ -66,6 +96,18 @@ time_entry = st.tuples(st.tuples(st.integers(1, 3), st.integers(0, 4)),
 monomials = st.builds(Monomial, st.integers(0, 3), st.integers(-3, 3),
                       st.integers(0, 1), st.integers(-3, 3),
                       st.lists(time_entry, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, st.integers(0, 3), st.integers(0, 6), st.integers(0, 4),
+       st.integers(-3, 0), st.integers(0, 3))
+def test_uncapped_box_admits_what_the_other_caps_admit(m, hl, deg, p_max,
+                                                       z_min, z_max):
+    # the derived weight cap p_max * max_time_deg never binds
+    box = TruncSpec(hl, deg, p_max, (z_min, z_max))
+    assert box.admits(m) == (m.hl <= hl and z_min <= m.zexp <= z_max
+                             and m.time_degree() <= deg
+                             and all(p <= p_max for (_c, p), _e in m.times))
 
 
 @given(monomials, monomials)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melontau import wick
+from melontau.graphs import ColoredGraph
 from melontau.onematrix import virasoro_residual
 from melontau.wick import (NPoly, clear_moment_cache, hermitian_moment,
-                           moment_index_oracle, pairings, quartic_pattern,
-                           tensor_moment, tensor_moment_index_oracle)
+                           moment_index_oracle, pairings, tensor_moment,
+                           tensor_moment_index_oracle)
 
 
 # frozen small moments (genus expansions worked out by hand)
@@ -27,7 +28,7 @@ KNOWN = {
 @pytest.mark.parametrize("word,coeffs", sorted(KNOWN.items()))
 def test_frozen_moments(word, coeffs):
     assert hermitian_moment(word) == NPoly(coeffs)
-    assert hermitian_moment(word, engine="recursion") == NPoly(coeffs)
+    assert hermitian_moment(word, engine="pairing") == NPoly(coeffs)
 
 
 def even_words(max_slots):
@@ -47,7 +48,7 @@ def test_engines_agree_all_words_10_slots():
     for w in even_words(10):
         for word in (w, (0,) + w, w + (0, 0)):
             assert hermitian_moment(word, engine="pairing") == \
-                hermitian_moment(word, engine="recursion"), word
+                hermitian_moment(word), word
 
 
 def test_default_engine_is_the_recursion():
@@ -56,6 +57,9 @@ def test_default_engine_is_the_recursion():
     clear_moment_cache()
     hermitian_moment((4, 4, 4))
     assert (4, 4, 4) in wick._rec_memo
+    # "auto" is its one name
+    with pytest.raises(ValueError):
+        hermitian_moment((2,), engine="recursion")
 
 
 def test_memo_holds_only_zero_free_words():
@@ -111,11 +115,14 @@ def test_tbar_t_is_N():
 
 def test_melonic_quartic_expectation():
     # D=3: N + 1;  D=4: N + 1/N  (hand-computed from the cycle formula)
-    assert tensor_moment(quartic_pattern(3, 1)) == NPoly({1: 1, 0: 1})
-    assert tensor_moment(quartic_pattern(4, 2)) == NPoly({1: 1, -1: 1})
+    def melon(D, c):
+        return ColoredGraph.quartic_melon(D, c).perms
+
+    assert tensor_moment(melon(3, 1)) == NPoly({1: 1, 0: 1})
+    assert tensor_moment(melon(4, 2)) == NPoly({1: 1, -1: 1})
     # the distinguished colour is immaterial
     for c in (1, 2, 3):
-        assert tensor_moment(quartic_pattern(3, c)) == NPoly({1: 1, 0: 1})
+        assert tensor_moment(melon(3, c)) == NPoly({1: 1, 0: 1})
 
 
 def test_disconnected_product_pattern():
