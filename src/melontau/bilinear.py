@@ -147,13 +147,6 @@ def closed_form_AY(D, c, trunc, colours=None, scale=1):
     return op
 
 
-def _rehome(op, trunc):
-    out = DiffOp(trunc)
-    for (m, mu, de), coeff in op.terms.items():
-        out.add_term(coeff, m, mu, de)
-    return out
-
-
 def dressing_op_residuals(D):
     """The four operator identities behind the dressed vertex form, for
     active colour 1, |q| <= 4 and time indices <= 4.
@@ -175,7 +168,7 @@ def dressing_op_residuals(D):
         "B_commutes_with_Y": B.commutator(Y),
         "ad_A_squared": A.commutator(AY),
         "closed_form_matches": AY - closed_form_AY(D, c, trunc, colours),
-        "Y_commutes_with_AY": _rehome(Y, big).commutator(_rehome(AY, big)),
+        "Y_commutes_with_AY": (DiffOp(big) + Y).commutator(DiffOp(big) + AY),
     }
 
 
@@ -372,12 +365,22 @@ def _out_box(ring, d_ext, p_ext):
     return TruncSpec(ring.max_hl, d_ext, p_ext, (ring.z_min, ring.z_max))
 
 
-def _hirota_ring(d_ext, p_ext, half):
+def _pair_residue(f_plus, f_minus, d_ext):
+    """Res_z f_plus f_minus on the output box: the z^{-1} terms of joint
+    time degree <= d_ext, with z dropped."""
+    return f_plus.mul(
+        f_minus,
+        admit=lambda m: m.zexp == -1 and m.time_degree() <= d_ext).residue_z()
+
+
+def _hirota_ring(d_ext, p_ext, nsize):
     """The equal-size ring: indices <= P, degree <= d + P, weight
-    <= d*p_ext + P, z window [-half, half]."""
+    W = d*p_ext + P, and a z window deep enough for every B-insertion
+    (bounded by W) plus the charge, with strict slack on both sides."""
     P = d_ext * p_ext + 1
-    return TruncSpec(0, d_ext + P, P, (-half, half),
-                     max_time_weight=2 * d_ext * p_ext + 1)
+    W = d_ext * p_ext + P
+    half = max(d_ext * P, W) + nsize + 2
+    return TruncSpec(0, d_ext + P, P, (-half, half), max_time_weight=W)
 
 
 def _tensor_ring(D, K, nsize, d_ext, p_ext):
@@ -475,13 +478,10 @@ def hirota_factor(sign, c, nsize, d_ext, p_ext, a_scale="N",
     sign = +1 is V_+.  charge_literal assigns z^{-N} to V_+ (flipping it is
     only used by the calibration scan).
     """
-    W = 2 * d_ext * p_ext + 1
     if ring is None:
-        # deep enough for every B-insertion (bounded by the weight cap W)
-        # plus the charge shift, with strict slack on both sides
-        P = d_ext * p_ext + 1
-        ring = _hirota_ring(d_ext, p_ext, max(d_ext * P, W) + nsize + 2)
-    if ring.z_max < W + nsize + 2:
+        ring = _hirota_ring(d_ext, p_ext, nsize)
+    elif ring.z_max < 2 * d_ext * p_ext + 1 + nsize + 2:
+        # below _hirota_ring's window: the weight cap, charge and slack
         raise ValueError("z window too small to certify the residue")
     return _vertex(z1mm_series(ring, colour=c, nsize=nsize), sign, c, nsize,
                    _out_box(ring, d_ext, p_ext),
@@ -500,10 +500,7 @@ def hirota_residual(nsize, d_ext=2, p_ext=3, a_scale="N", charge_literal=True):
                            charge_literal, None)
     f_minus = hirota_factor(-1, 2, nsize, d_ext, p_ext, a_scale,
                             charge_literal, None)
-    prod = f_plus.mul(
-        f_minus,
-        admit=lambda m: m.zexp == -1 and m.time_degree() <= d_ext)
-    return prod.residue_z()
+    return _pair_residue(f_plus, f_minus, d_ext)
 
 
 def calibrate_conventions():
@@ -584,10 +581,7 @@ def tensor_bilinear_residual(D, K, nsize, d_ext=1, p_ext=2, a_scale="N",
                                   a_scale, True, with_middle)
     f_minus = tensor_vertex_factor(-1, D, K, nsize, 1, d_ext, p_ext,
                                    a_scale, True, with_middle)
-    prod = f_plus.mul(
-        f_minus,
-        admit=lambda m: m.zexp == -1 and m.time_degree() <= d_ext)
-    return prod.residue_z()
+    return _pair_residue(f_plus, f_minus, d_ext)
 
 
 def tensor_reduction_residual(D, nsize):

@@ -19,7 +19,10 @@ verify emits one JSON CheckReport per line on stdout (--format text for
 human lines) and a one-line summary on stderr.  Exit code 0 when every
 check passed, 1 otherwise, 2 for a value below its least or a flag only
 other subcommands read.  compute/graph/moment print one JSON object (or
-plain text).
+plain text).  Every identity check but tensor-grading gets what must vanish
+from the library and reports it in _zero_check: "<k> residual(s)
+identically zero", or the first nonzero component's key or index path,
+term count and three lowest terms.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Any
 from . import bilinear, decomposition, onematrix, wick
 from .graphs import ColoredGraph
 from .reports import CheckReport, emit, timed_check
-from .series import USeries
+from .series import Series, USeries
 
 
 def _at_least(flag, value, low):
@@ -43,19 +46,36 @@ def _at_least(flag, value, low):
     return value
 
 
-def _residual_detail(r) -> str:
-    """Term count and the three lowest serialized terms of a residual."""
-    head = r.serialize().splitlines()[:3]
-    return "%d nonzero residual term(s), lowest: %s" % (len(r.terms),
-                                                        "; ".join(head))
+def _components(residual, path):
+    """(path, nonzero terms as text, lowest first) for each component of
+    residual: a Series, DiffOp or USeries, or a dict or list of them, each
+    possibly a thunk, which is called only when the walk reaches it."""
+    if callable(residual):
+        residual = residual()
+    if isinstance(residual, (dict, list)):
+        for key, r in (residual.items() if isinstance(residual, dict)
+                       else enumerate(residual)):
+            yield from _components(r, "%s[%s]" % (path, key) if path
+                                   else str(key))
+    elif isinstance(residual, USeries):
+        yield path, ["x^%d: %s" % (k, c) for k, c in enumerate(residual) if c]
+    elif isinstance(residual, Series):
+        yield path, residual.serialize().splitlines()
+    else:
+        yield path, residual.term_strs()
 
 
 def _zero_check(name: str, params: dict[str, Any], residual) -> CheckReport:
+    """The verdict of an identity check: every component of residual
+    must vanish; a failure reports the first nonzero one."""
     def run():
-        r = residual()
-        if r.is_zero():
-            return True, "residual identically zero"
-        return False, _residual_detail(r)
+        n = 0
+        for n, (path, lines) in enumerate(_components(residual, ""), 1):
+            if lines:
+                head = "%d nonzero residual term(s), lowest: %s" % (
+                    len(lines), "; ".join(lines[:3]))
+                return False, "%s: %s" % (path, head) if path else head
+        return True, "%d residual(s) identically zero" % n
     return timed_check(name, params, run)
 
 
@@ -73,30 +93,14 @@ def _verify_commutator(args) -> list[CheckReport]:
 
 def _verify_bch(args) -> list[CheckReport]:
     order = args.order
-
-    def run():
-        (a, b), (c, d) = decomposition.bch_log_product(order)
-        dsym = USeries([0, 1], order)
-        zero = USeries([], order)
-        gamma = decomposition.bch_gamma(order)
-        ok = (a == dsym and c == zero and d == zero and b == gamma
-              and gamma == decomposition.bch_gamma_sym(order))
-        return ok, "log(e^X e^Y) = X + gamma(D) Y through D^%d" % order
-
-    return [timed_check("bch-closed-form", {"order": order}, run)]
+    return [_zero_check("bch-closed-form", {"order": order},
+                        lambda: decomposition.bch_residuals(order))]
 
 
 def _verify_decomposition(args) -> list[CheckReport]:
     D, K = args.D, args.order
-
-    def run():
-        d_int, d_op = decomposition.decomposition_residuals(D, K)
-        if d_int.is_zero() and d_op.is_zero():
-            return True, "three routes agree exactly"
-        return False, "intermediate diff %d term(s), operator diff %d" % (
-            len(d_int.terms), len(d_op.terms))
-
-    return [timed_check("decomposition", {"D": D, "K": K}, run)]
+    return [_zero_check("decomposition", {"D": D, "K": K},
+                        lambda: decomposition.decomposition_residuals(D, K))]
 
 
 def _verify_grading(args) -> list[CheckReport]:
@@ -127,29 +131,13 @@ def _verify_virasoro(args) -> list[CheckReport]:
 
 def _verify_orthopoly(args) -> list[CheckReport]:
     max_size, order = args.nsize, args.order
-    out = []
-    for size in range(1, max_size + 1):
-        def run(size=size):
-            res = onematrix.orthogonality_residual(size, order)
-            if any(any(c) for c in res):
-                return False, "orthogonality residual nonzero"
-            det = onematrix.orthopoly_det(size, size, order)
-            char = onematrix.charpoly_expectation(size, order)
-            if det != char:
-                return False, "charpoly route disagrees with Hankel route"
-            return True, "orthogonal through t4^%d; routes agree" % order
-        out.append(timed_check("orthopoly", {"size": size, "order": order},
-                               run))
-
-    def chain():
-        step, closed = onematrix.hankel_chain_residuals(max_size, max_size,
-                                                        order)
-        ok = all(not any(s) for s in step) and all(not any(s) for s in closed)
-        return ok, "norm/partition ladder exact"
-
-    out.append(timed_check("orthopoly-chain",
-                           {"max_size": max_size, "order": order}, chain))
-    return out
+    return [_zero_check("orthopoly", {"size": size, "order": order},
+                        lambda size=size: onematrix.orthopoly_residuals(
+                            size, order))
+            for size in range(1, max_size + 1)] + [
+        _zero_check("orthopoly-chain", {"max_size": max_size, "order": order},
+                    lambda: onematrix.hankel_chain_residuals(
+                        max_size, max_size, order))]
 
 
 def _verify_hirota(args) -> list[CheckReport]:
@@ -166,26 +154,15 @@ def _verify_conjugation(args) -> list[CheckReport]:
     # colour, so e^Y never fires and the sandwich cannot fail: vacuous
     degs = [max(2, D - 1) if args.deg is None
             else _at_least("--deg", args.deg, D - 1) for D in args.D]
-    out = []
-    for D, deg in zip(args.D, degs):
-        def ops(D=D):
-            res = bilinear.dressing_op_residuals(D)
-            bad = [k for k, v in res.items() if not v.is_zero()]
-            if bad:
-                return False, "failed: %s" % ", ".join(bad)
-            return True, "all four operator identities hold"
-        out.append(timed_check("conjugation-ops", {"D": D}, ops))
-
-        def sandwich(D=D, deg=deg):
-            for mono in bilinear.basis_monomials(D, deg, 2):
-                r = bilinear.conjugation_sandwich_residual(mono, D)
-                if not r.is_zero():
-                    return False, "mismatch at %s: %s" % (
-                        mono, _residual_detail(r))
-            return True, "sandwich equals dressed form on the basis"
-        out.append(timed_check("conjugation-sandwich", {"D": D, "deg": deg},
-                               sandwich))
-    return out
+    return [check for D, deg in zip(args.D, degs) for check in (
+        _zero_check("conjugation-ops", {"D": D},
+                    lambda D=D: bilinear.dressing_op_residuals(D)),
+        # one thunk per basis monomial: the walk stops at the first failure
+        _zero_check("conjugation-sandwich", {"D": D, "deg": deg},
+                    lambda D=D, deg=deg: {
+                        "mismatch at %s" % mono: functools.partial(
+                            bilinear.conjugation_sandwich_residual, mono, D)
+                        for mono in bilinear.basis_monomials(D, deg, 2)}))]
 
 
 def _verify_tensor_bilinear(args) -> list[CheckReport]:

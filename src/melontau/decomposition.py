@@ -197,11 +197,11 @@ def eY_applied_z(D, order):
 
 
 def decomposition_residuals(D, order):
-    """(direct - intermediate, direct - operator): both must vanish."""
+    """direct minus each other route, by route name: both must vanish."""
     direct = direct_tensor_z(D, order)
     inter = intermediate_field_z(D, order)
     oper = eY_applied_z(D, order)
-    return direct - inter, direct - oper
+    return {"intermediate": direct - inter, "operator": direct - oper}
 
 
 def tensor_free_energy_exponents(D, order):
@@ -282,3 +282,12 @@ def bch_gamma_sym(order=8):
     sinh2 = Fraction(1, 2) * (ep - em)               # sinh(D/2): odd, leading D/2
     val = Fraction(1, 2) * ep / sinh2.shift_down()
     return USeries(val.c, order)
+
+
+def bch_residuals(order):
+    """log(e^X e^Y) = X + gamma(D) Y, with the two forms of gamma, as
+    series through D^order that must all vanish."""
+    (a, b), (c, d) = bch_log_product(order)
+    gamma, D = bch_gamma(order), USeries([0, 1], order)
+    return {"a - D": a - D, "b - gamma": b - gamma, "c": c, "d": d,
+            "gamma - gamma_sym": gamma - bch_gamma_sym(order)}

@@ -276,9 +276,8 @@ class DiffOp:
         return sorted(self.terms.items(),
                       key=lambda kv: (kv[0][0]._key, kv[0][1], kv[0][2]))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def term_strs(self):
+        """Each term as str() prints it, in sorted_terms order."""
         bits = []
         for (m, mu, de), c in self.sorted_terms():
             s = "(%s)" % c
@@ -289,6 +288,9 @@ class DiffOp:
             for (cc, p), e in de:
                 s += "*d[%d,%d]^%d" % (cc, p, e)
             bits.append(s)
-        return " + ".join(bits)
+        return bits
+
+    def __str__(self):
+        return " + ".join(self.term_strs()) or "0"
 
     __repr__ = __str__

@@ -27,6 +27,16 @@ from itertools import permutations, product
 from .wick import _cycles
 
 
+def _int_fields(obj, *keys):
+    """obj's values at keys; ValueError unless obj is a JSON object with a
+    non-negative integer at each key."""
+    if not (isinstance(obj, dict) and all(type(obj.get(k)) is int
+                                          and obj[k] >= 0 for k in keys)):
+        raise ValueError("expected an object with non-negative integer %s, "
+                         "got %r" % ("/".join(keys), obj))
+    return [obj[k] for k in keys]
+
+
 class ColoredGraph:
     """D-coloured bipartite graph given by per-colour matchings.
 
@@ -55,13 +65,16 @@ class ColoredGraph:
 
     @classmethod
     def from_json(cls, text):
+        """The graph of a JSON text; ValueError when it is malformed."""
         data = json.loads(text)
-        D, k = data["D"], data["white"]
-        if data.get("black", k) != k:
+        D, k = _int_fields(data, "D", "white")
+        if _int_fields({"black": k, **data}, "black") != [k]:
             raise ValueError("white and black counts must match")
+        if not isinstance(data.get("edges"), list):
+            raise ValueError("edges must be a list")
         perms = [[None] * k for _ in range(D)]
         for e in data["edges"]:
-            w, b, c = e["w"], e["b"], e["c"]
+            w, b, c = _int_fields(e, "w", "b", "c")
             if not (0 <= w < k and 0 <= b < k and 1 <= c <= D):
                 raise ValueError("edge out of range: %r" % (e,))
             if perms[c - 1][w] is not None:

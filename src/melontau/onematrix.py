@@ -301,14 +301,21 @@ def charpoly_expectation(size, order):
     return [(-1) ** (size - j) * (raw[size - j] / z) for j in range(size + 1)]
 
 
-def orthogonality_residual(size, order):
-    """int P_size(x) x^M dmu for M = 0..size-1, P from the charpoly route.
-
-    All returned t4-series must vanish identically: <det(x-M)> is the monic
-    orthogonal polynomial of the eigenvalue measure of the same ensemble.
-    """
+def orthopoly_residuals(size, order):
+    """The orthogonal-polynomial claims at one size, as t4-series that must
+    all vanish: "orthogonality", int P_size(x) x^M dmu for M < size with
+    P = charpoly_expectation (<det(x-M)> is the monic orthogonal polynomial
+    of the eigenvalue measure), and "det - charpoly", orthopoly_det - P."""
     P = charpoly_expectation(size, order)
-    return [_integrate(P, M, size, order) for M in range(size)]
+    det = orthopoly_det(size, size, order)
+    return {"orthogonality": [_integrate(P, M, size, order)
+                              for M in range(size)],
+            "det - charpoly": [d - p for d, p in zip(det, P)]}
+
+
+def orthogonality_residual(size, order):
+    """The "orthogonality" residuals of orthopoly_residuals."""
+    return orthopoly_residuals(size, order)["orthogonality"]
 
 
 def kernel_norm(size, nweight, order):
@@ -328,8 +335,8 @@ def _integrate(P, M, nweight, order):
 def hankel_chain_residuals(max_size, nweight, order):
     """The two ladder identities, as lists of residual t4-series:
 
-    Z_{s+1} - (s+1) K_s Z_s   for s = 0..max_size-1, and
-    Z_s - s! prod_{i<s} K_i   for s = 1..max_size.
+    "step":   Z_{s+1} - (s+1) K_s Z_s   for s = 0..max_size-1, and
+    "closed": Z_s - s! prod_{i<s} K_i   for s = 1..max_size.
     """
     zs = [hankel_z(s, nweight, order) for s in range(max_size + 1)]
     ks = [kernel_norm(s, nweight, order) for s in range(max_size)]
@@ -340,4 +347,4 @@ def hankel_chain_residuals(max_size, nweight, order):
         for i in range(s):
             prod = prod * ks[i]
         closed.append(zs[s] - prod)
-    return step, closed
+    return {"step": step, "closed": closed}

@@ -157,9 +157,6 @@ class Monomial:
     def __hash__(self):
         return self._hash
 
-    def __lt__(self, other):
-        return self._key < other._key
-
     def __repr__(self):
         return "Monomial%r" % (self._key,)
 

@@ -72,7 +72,7 @@ def test_criterion_02_bch_closed_form():
 def test_criterion_03_decomposition_routes():
     ok = True
     for D, K in ((3, 1), (2, 2)):
-        r12, r13 = decomposition_residuals(D, K)
+        r12, r13 = decomposition_residuals(D, K).values()
         ok = ok and r12.is_zero() and r13.is_zero()
         for n in (1, 2):
             ok = ok and (direct_tensor_z(D, K).eval_N(n)
@@ -118,7 +118,7 @@ def test_criterion_07_orthogonal_polynomials():
             orthopoly_det(size, size, 2)
         for r in orthogonality_residual(size, 2):
             ok = ok and all(x == 0 for x in r)
-    step, closed = hankel_chain_residuals(3, 3, 2)
+    step, closed = hankel_chain_residuals(3, 3, 2).values()
     for r in step + closed:
         ok = ok and all(x == 0 for x in r)
     for nweight in (2, 3):

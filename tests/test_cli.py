@@ -1,5 +1,6 @@
 """Command-line surface: wiring, formats, exit codes."""
 
+import importlib.util
 import json
 import os
 import re
@@ -11,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import melontau
-from melontau import bilinear, onematrix
+from melontau import bilinear, decomposition, onematrix
 from melontau.cli import _parse, _zero_check, main
 from melontau.diffops import DiffOp
 from melontau.reports import CheckReport, emit
-from melontau.series import Series, TruncSpec
+from melontau.series import Series, TruncSpec, USeries
 
 
 MELON_JSON = json.dumps({
@@ -213,6 +214,89 @@ def test_failed_zero_check_shows_lowest_residual_terms():
                           "-1/1/0/1 * t[1,1]^1; 1/1/0/1 * t[2,1]^1")
 
 
+def _failures(capsys, *argv):
+    """Exit code and {name: detail} of the failed checks of one run."""
+    code, out, _ = run_cli(capsys, *argv)
+    reps = [json.loads(x) for x in out.strip().splitlines()]
+    return code, {r["name"]: r["detail"] for r in reps if not r["passed"]}
+
+
+def test_failed_commutator_reports_the_operator_terms(capsys, monkeypatch):
+    bad = (DiffOp(TruncSpec(2, 0, 2))
+           .add_term(1, mults=(((1, 1), 1),), derivs=(((2, 2), 1),))
+           .add_term(-2, derivs=(((1, 2), 1),)))
+    monkeypatch.setattr(decomposition, "commutator_residual",
+                        lambda D, max_q: bad)
+    code, failed = _failures(capsys, "verify", "commutator", "--D", "2")
+    assert code == 1
+    assert failed == {"commutator": (
+        "2 nonzero residual term(s), lowest: "
+        "(-2)*d[1,2]^1; (1)*t[1,1]^1*d[2,2]^1")}
+
+
+def test_failed_conjugation_ops_names_the_identity(capsys, monkeypatch):
+    trunc = TruncSpec(2, 0, 2)
+    bad = {"B_commutes_with_Y": DiffOp(trunc),
+           "ad_A_squared": DiffOp(trunc).add_term(
+               Fraction(1, 3), mults=(((1, 0), 2),))}
+    monkeypatch.setattr(bilinear, "dressing_op_residuals", lambda D: bad)
+    code, failed = _failures(capsys, "verify", "conjugation", "--D", "2",
+                             "--deg", "1")
+    assert code == 1
+    assert failed == {"conjugation-ops": (
+        "ad_A_squared: 1 nonzero residual term(s), lowest: (1/3)*t[1,0]^2")}
+
+
+def test_failed_bch_names_the_entry(capsys, monkeypatch):
+    orig = decomposition.bch_gamma_sym
+    monkeypatch.setattr(decomposition, "bch_gamma_sym", lambda order: (
+        orig(order) + USeries([0, 0, 0, 1, 0, Fraction(-2, 7)], order)))
+    code, failed = _failures(capsys, "verify", "bch")
+    assert code == 1
+    assert failed == {"bch-closed-form": (
+        "gamma - gamma_sym: 2 nonzero residual term(s), lowest: "
+        "x^3: -1; x^5: 2/7")}
+
+
+def test_failed_orthopoly_names_the_power_of_x(capsys, monkeypatch):
+    orig = onematrix.orthopoly_det
+
+    def shifted(size, nweight, order):
+        det = orig(size, nweight, order)
+        return [det[0] + USeries([0, Fraction(1, 2)], order)] + det[1:]
+
+    monkeypatch.setattr(onematrix, "orthopoly_det", shifted)
+    code, failed = _failures(capsys, "verify", "orthopoly", "--nsize", "1")
+    assert code == 1
+    assert failed["orthopoly"] == (
+        "det - charpoly[0]: 1 nonzero residual term(s), lowest: x^1: 1/2")
+
+
+def test_failed_orthopoly_chain_names_the_rung(capsys, monkeypatch):
+    orig = onematrix.kernel_norm
+    monkeypatch.setattr(onematrix, "kernel_norm", lambda s, nw, order: (
+        orig(s, nw, order) + USeries([0, 0, 3], order)))
+    code, failed = _failures(capsys, "verify", "orthopoly", "--nsize", "1")
+    assert code == 1
+    assert failed == {"orthopoly-chain": (
+        "step[0]: 1 nonzero residual term(s), lowest: x^2: -3")}
+
+
+def test_failed_decomposition_names_the_route(capsys, monkeypatch):
+    orig = decomposition.intermediate_field_z
+
+    def shifted(D, order):
+        z = orig(D, order)
+        return z + Series(z.trunc).add_term(Fraction(1, 4), hl=2, hn=2)
+
+    monkeypatch.setattr(decomposition, "intermediate_field_z", shifted)
+    code, failed = _failures(capsys, "verify", "decomposition")
+    assert code == 1
+    assert failed == {"decomposition": (
+        "intermediate: 1 nonzero residual term(s), lowest: "
+        "-1/4/0/1 * sqrtLam^2 * sqrtN^2")}
+
+
 def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
     trunc = TruncSpec(2, 2, 2)
     bad = (Series(trunc).add_term(Fraction(1, 2), hl=1)
@@ -229,6 +313,28 @@ def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
     assert sandwich["detail"] == (
         "mismatch at 1: 4 nonzero residual term(s), lowest: "
         "-3/1/0/1 * t[2,1]^1; 5/1/0/1 * z^1; 1/2/0/1 * sqrtLam^1")
+
+
+# malformed graph files: each a configuration error, never a traceback
+# (a negative count used to pass as an empty graph, a float one as an int)
+BAD_GRAPHS = ['{"D": 3, "edges": []}',
+              '{"D": 2, "white": 1, "edges": [{"w": 0, "b": 0}]}',
+              '{"D": "3", "white": 1, "edges": []}',
+              '[1, 2]',
+              '{"D": 2, "white": -1, "edges": []}',
+              '{"D": 2, "white": 1, "black": 1.0, "edges": '
+              '[{"w": 0, "b": 0, "c": 1}, {"w": 0, "b": 0, "c": 2}]}']
+
+
+@pytest.mark.parametrize("cmd", ["graph degree", "moment tensor"])
+@pytest.mark.parametrize("text", BAD_GRAPHS)
+def test_malformed_graph_json_exits_2(tmp_path, capsys, cmd, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, *cmd.split(), "--file", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("D", [2, 3])
@@ -379,3 +485,19 @@ def test_module_entry_point():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "2*N^0 + 1*N^2" in proc.stdout
+
+
+def test_check_names_match_the_benchmark(capsys):
+    # the benchmark counts a renamed or reordered check as a failed
+    # operation; pin the names here so such a change fails the tests
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for suites in workloads.SUITES.values():
+        for suite, extra in suites:
+            code, out, _ = run_cli(capsys, "verify", suite, *extra)
+            names = tuple(json.loads(x)["name"]
+                          for x in out.strip().splitlines())
+            assert code == 0, suite
+            assert names == workloads.EXPECTED_CHECKS[suite], suite

@@ -179,7 +179,7 @@ def test_orthogonality_negative_control():
 
 
 def test_hankel_chain():
-    step, closed = hankel_chain_residuals(3, 3, 2)
+    step, closed = hankel_chain_residuals(3, 3, 2).values()
     for r in step + closed:
         assert all(x == 0 for x in r)
 
