@@ -48,7 +48,9 @@ These four operator identities are verified by normal-ordered composition,
 and the sandwich itself is checked on basis monomials with a per-monomial
 enlarged inner truncation (an e^{Y} application can lower the degree by at
 most D, and the number of applications that can fire is bounded by the
-non-active-colour letters of the input monomial).  The charge factor is a
+non-active-colour letters of the input monomial).  Many basis monomials
+share a ring, so a run over the basis builds Y and [A, Y] once per
+distinct ring and keeps them only for that run.  The charge factor is a
 pure z-power and commutes with Y; it is checked separately and left out of
 the sandwich.
 
@@ -409,7 +411,7 @@ def _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out):
     return TruncSpec(hl_cap, deg_L, p_ring, (-win, win))
 
 
-def conjugation_sandwich_residual(mono, D, sign=1):
+def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
     """e^{Y} V^c e^{-Y} (m) minus the dressed closed form applied to m,
     for the active colour c = 1.
 
@@ -420,13 +422,23 @@ def conjugation_sandwich_residual(mono, D, sign=1):
     m — the only supply the final e^{Y} can consume, hence a bound on how
     far above the comparison box an intermediate can sit and still come
     back down.
+
+    The operators Y and [A, Y] depend only on D and the two rings, which
+    many basis monomials share.  _ops, a dict the caller keeps for one run
+    over the basis, holds them by (D, ring, comparison box), so each is
+    built once per distinct ring per run; without it they are built here.
     """
     c, hl_cap, p_ring = 1, 4, 4
     colours = tuple(range(1, D + 1))
     deg_out = mono.time_degree() + 2
     t_L = _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out)
     t_R = TruncSpec(hl_cap, deg_out, p_ring, (t_L.z_min, t_L.z_max))
-    Y_L = build_Y(D, t_L, colours)
+    ops = {} if _ops is None else _ops
+    key = (D, t_L, t_R)
+    if key not in ops:
+        ops[key] = (build_Y(D, t_L, colours),
+                    closed_form_AY(D, c, t_R, colours=colours))
+    Y_L, AY = ops[key]
 
     s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
                              zexp=mono.zexp, times=mono.times)
@@ -436,8 +448,9 @@ def conjugation_sandwich_residual(mono, D, sign=1):
 
     s2 = Series(t_R).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
                               zexp=mono.zexp, times=mono.times)
-    rhs = _vertex(s2, sign, c, None, t_R,
-                  middle=closed_form_AY(D, c, t_R, colours=colours))
+    rhs = _vertex(s2, sign, c, None, t_R, middle=AY)
+    if lhs.trunc == rhs.trunc and lhs.terms == rhs.terms:
+        return Series(lhs.trunc)
     return lhs - rhs
 
 

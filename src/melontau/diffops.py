@@ -18,13 +18,20 @@ the ring does not retain annihilates every ring element, and a multiplication
 by it leaves the ring), and mono factors with hl > max_hl or z outside the
 window are dropped for the same reason.  The identities checked here are all
 graded in sqrtLam degree, so grade-by-grade restriction is sound.
+
+The kernels skip per-term work their inputs make redundant.  They build
+letter tuples by merging sorted tuples, never by a dict and a sort.
+apply checks every cap from integers before it builds a Monomial, so its
+results need no TruncSpec.admits.  apply_exp folds scale/k into the
+operator's coefficients at step k and sums the iterates in place.
+compose writes its keys into the result with add_term's ring checks but
+without its validation and sorting.
 """
 
-from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from .scalars import GaussRat
-from .series import Monomial, Series
+from .series import Monomial, Series, merge_times
 
 
 def _msorted(pairs):
@@ -34,11 +41,25 @@ def _msorted(pairs):
     return tuple(sorted((k, e) for k, e in d.items() if e))
 
 
-def _madd(a, b):
-    d = dict(a)
-    for k, e in b:
-        d[k] = d.get(k, 0) + e
-    return _msorted(d.items())
+def _strip(times, derivs):
+    """(times with the letters of derivs taken off, the falling factorials
+    they bring down), in one merge pass over the two sorted tuples;
+    (None, 0) when a derivative finds fewer copies than it takes."""
+    out = []
+    i, n = 0, len(times)
+    val = 1
+    for key, a in derivs:
+        while i < n and times[i][0] < key:
+            out.append(times[i])
+            i += 1
+        if i == n or times[i][0] != key or times[i][1] < a:
+            return None, 0
+        e = times[i][1]
+        val *= perm(e, a)
+        if e > a:
+            out.append((key, e - a))
+        i += 1
+    return tuple(out) + times[i:], val
 
 
 class DiffOp:
@@ -58,33 +79,37 @@ class DiffOp:
         self.trunc = trunc
         self.terms = {}          # (mono, mults, derivs) -> GaussRat
 
-    def _admit(self, mono, mults, derivs):
-        if mono.times:
-            raise ValueError("operator mono factor must be time-free")
-        # apply builds Monomials from these entries without re-checking them
-        for (c, p), e in mults + derivs:
-            if c < 1 or p < 0 or e < 1:
-                raise ValueError("bad time entry %r" % (((c, p), e),))
-        if mono.hl > self.trunc.max_hl:
-            return False
-        if not (self.trunc.z_min <= mono.zexp <= self.trunc.z_max):
-            return False
-        return all(p <= self.trunc.p_max for (_c, p), _e in mults + derivs)
+    def _fits(self, mono, letters):
+        """mono's sqrtLam power and z, and the letters' indices, lie in
+        the ring."""
+        t = self.trunc
+        return (mono.hl <= t.max_hl and t.z_min <= mono.zexp <= t.z_max
+                and all(p <= t.p_max for (_c, p), _e in letters))
 
-    def add_term(self, coeff, mono=None, mults=(), derivs=()):
-        coeff = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
-        mono = mono or Monomial()
-        mults = _msorted(mults)
-        derivs = _msorted(derivs)
-        if coeff.is_zero() or not self._admit(mono, mults, derivs):
-            return self
-        key = (mono, mults, derivs)
+    def _put(self, key, coeff):
+        """Accumulate coeff onto a key in the ring, dropping a zero total."""
+        if coeff.is_zero():
+            return
         cur = self.terms.get(key)
         tot = coeff if cur is None else cur + coeff
         if tot.is_zero():
             self.terms.pop(key, None)
         else:
             self.terms[key] = tot
+
+    def add_term(self, coeff, mono=None, mults=(), derivs=()):
+        coeff = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
+        mono = mono or Monomial()
+        if mono.times:
+            raise ValueError("operator mono factor must be time-free")
+        mults = _msorted(mults)
+        derivs = _msorted(derivs)
+        # apply builds Monomials from these entries without re-checking them
+        for (c, p), e in mults + derivs:
+            if c < 1 or p < 0 or e < 1:
+                raise ValueError("bad time entry %r" % (((c, p), e),))
+        if self._fits(mono, mults + derivs):
+            self._put((mono, mults, derivs), coeff)
         return self
 
     # -- linear structure --------------------------------------------------
@@ -95,8 +120,9 @@ class DiffOp:
     def __add__(self, other):
         out = DiffOp(self.trunc)
         out.terms = dict(self.terms)
-        for (m, mu, de), c in other.terms.items():
-            out.add_term(c, m, mu, de)
+        for key, c in other.terms.items():
+            if out._fits(key[0], key[1] + key[2]):
+                out._put(key, c)
         return out
 
     def __neg__(self):
@@ -120,7 +146,7 @@ class DiffOp:
     # -- action on series --------------------------------------------------
 
     def apply(self, series, admit=None):
-        """self applied to series, restricted to the ring.
+        """self applied to series, restricted to the ring of series.
 
         admit, if given, is an extra predicate admit(hl, times) on each
         result's sqrtLam power and time letters, checked before the
@@ -131,14 +157,17 @@ class DiffOp:
         series order (so results arrive in the order of a double loop),
         and an op term with derivatives runs over the shortest list among
         its derivative letters (any other term is annihilated).  Each
-        candidate is then checked from integers before its times are
-        copied: sqrtLam power, z window, and the series term's time degree
-        and weight plus the op term's change of them.
+        candidate is then checked from integers: sqrtLam power, z window,
+        and the series term's time degree and weight plus the op term's
+        change of them.  The result's times come from merge passes over
+        sorted tuples: _strip takes the derivatives off, merge_times adds
+        the multiplications.  The only cap left is the index cap on a
+        multiplied letter, which every result of that op term keeps, so
+        it is checked once per op term.
         """
         out = Series(series.trunc)
         terms = out.terms
         box = out.trunc
-        admits = box.admits
         trusted = Monomial._trusted
         entries = []
         by_letter = {}
@@ -148,6 +177,8 @@ class DiffOp:
             for key, _e in sm.times:
                 by_letter.setdefault(key, []).append(entry)
         for (m, mu, de), c in self.terms.items():
+            if any(p > box.p_max for (_c, p), _b in mu):
+                continue
             if de:
                 candidates = min((by_letter.get(key, ()) for key, _a in de),
                                  key=len)
@@ -165,26 +196,11 @@ class DiffOp:
                 if (sm.hl > hl_cap or not z_lo <= sm.zexp <= z_hi
                         or deg > deg_cap or weight > weight_cap):
                     continue
-                times = sm.times
-                val = 1
-                if de or mu:
-                    t = dict(times)
-                    for key, a in de:
-                        e = t.get(key, 0)
-                        if e < a:
-                            val = 0
-                            break
-                        for j in range(a):
-                            val *= e - j
-                        if e == a:
-                            del t[key]
-                        else:
-                            t[key] = e - a
-                    if not val:
-                        continue
-                    for key, b in mu:
-                        t[key] = t.get(key, 0) + b
-                    times = tuple(sorted(t.items()))
+                times, val = _strip(sm.times, de) if de else (sm.times, 1)
+                if not val:
+                    continue
+                if mu:
+                    times = merge_times(times, mu)
                 hl = m.hl + sm.hl
                 if admit is not None and not admit(hl, times):
                     continue
@@ -194,8 +210,6 @@ class DiffOp:
                     h2 -= 2
                 mono = trusted(hl, m.hn + sm.hn, h2,
                                m.zexp + sm.zexp, times)
-                if not admits(mono):
-                    continue
                 coeff = c * sc
                 if val != 1:
                     coeff = coeff * val
@@ -213,60 +227,86 @@ class DiffOp:
     def apply_exp(self, series, scale=1, admit=None):
         """(exp(scale * self)) series, summed until a power annihilates.
 
+        The k-th iterate is (scale/k) self applied to the one before, so
+        it already is scale^k/k! self^k series: the step factor multiplies
+        each operator coefficient once, and each iterate is added in place
+        into one dict.  At scale 0 this is the admitted input.
+
         admit, as in apply, is checked on the terms of series and of every
         iterate.  Relies on the truncation for termination; raises
         RuntimeError when the iteration count exceeds a generous structural
         bound.
         """
         scale = scale if isinstance(scale, GaussRat) else GaussRat(scale)
-        if admit is not None:
-            series = series.filter(lambda m: admit(m.hl, m.times))
-        out = series
-        cur = series
+        out = (series.copy() if admit is None
+               else series.filter(lambda m: admit(m.hl, m.times)))
+        if scale.is_zero():
+            return out
+        terms = out.terms
+        cur = out
         cap = 4 * (series.trunc.max_hl + series.trunc.max_time_deg) + 8
-        k = 0
-        fact = GaussRat(1)
+        k = 1
         while True:
-            cur = self.apply(cur, admit)
+            cur = self.scale(scale / k).apply(cur, admit)
             if cur.is_zero():
                 return out
-            k += 1
             if k > cap:
                 raise RuntimeError("exp of operator did not terminate "
                                    "under truncation")
-            fact = fact * GaussRat(Fraction(1, k)) * scale
-            out = out + cur.scale(fact)
+            for m, c in cur.terms.items():
+                tot = terms.get(m)
+                tot = c if tot is None else tot + c
+                if tot.is_zero():
+                    terms.pop(m, None)
+                else:
+                    terms[m] = tot
+            k += 1
 
     # -- composition / commutators -----------------------------------------
 
     def compose(self, other):
-        """self o other (other acts first)."""
+        """self o other (other acts first).
+
+        Each pair of terms moves self's derivatives through other's
+        multiplications letter by letter, in sorted letter order, so the
+        reordered letters come out sorted and merge with the outer ones in
+        one pass (merge_times).  They go into the result with add_term's
+        ring checks and zero drop but without its validation and sorting;
+        the index check runs only when other's ring has larger indices
+        than self's.
+        """
         out = DiffOp(self.trunc)
+        p_max = self.trunc.p_max
+        check_p = other.trunc.p_max > p_max
         for (m1, mu1, de1), c1 in self.terms.items():
+            de1d = dict(de1)
             for (m2, mu2, de2), c2 in other.terms.items():
                 mono, carry = m1.mul(m2)
+                if not out._fits(mono, ()):
+                    continue
                 base = c1 * c2 * carry if carry != 1 else c1 * c2
                 # move de1 through mu2, one variable at a time
                 choices = [((), (), base)]
-                de1d = dict(de1)
                 mu2d = dict(mu2)
-                for key in set(de1d) | set(mu2d):
+                for key in sorted(de1d.keys() | mu2d.keys()):
                     a = de1d.get(key, 0)
                     b = mu2d.get(key, 0)
                     kmax = min(a, b)
                     new = []
                     for mu_acc, de_acc, cf in choices:
                         for k in range(kmax + 1):
-                            w = comb(a, k)
-                            for j in range(k):
-                                w *= b - j
+                            w = comb(a, k) * perm(b, k)
                             nmu = mu_acc + (((key, b - k),) if b - k else ())
                             nde = de_acc + (((key, a - k),) if a - k else ())
                             new.append((nmu, nde, cf * w))
                     choices = new
                 for mu_acc, de_acc, cf in choices:
-                    out.add_term(cf, mono, _madd(mu1, mu_acc),
-                                 _madd(de_acc, de2))
+                    mults = merge_times(mu1, mu_acc)
+                    derivs = merge_times(de_acc, de2)
+                    if check_p and any(p > p_max for (_c, p), _e
+                                       in mults + derivs):
+                        continue
+                    out._put((mono, mults, derivs), cf)
         return out
 
     def commutator(self, other):

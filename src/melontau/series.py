@@ -32,10 +32,12 @@ zero.  A Monomial caches its hash; the public constructor validates, merges
 and sorts its times, while Monomial.mul (and through it Series.mul),
 DiffOp.apply and the Series maps derive, shift_z, residue_z and eval_N,
 whose inputs are valid monomials already, build their results unchecked.
-The two product kernels, Series.mul and DiffOp.apply, first reject from
-integers (time degree and weight, and in apply also sqrtLam power and z)
-the pairs whose product cannot land in the box, so they build only
-Monomials that admits then checks.
+The two product kernels, Series.mul and DiffOp.apply, reject from
+integers (time degree and weight, sqrtLam power and z) the pairs whose
+product cannot land in the box, and merge the two sorted times tuples of
+a pair that can (merge_times).  Only the index cap is left: apply checks
+it once per operator term, and mul calls admits only when an operand's
+box keeps larger indices than the product's.
 
 USeries, at the end of the module, is the one-variable truncated series:
 a coefficient list indexed by power, over Fraction or NPoly.  The one-matrix
@@ -134,18 +136,10 @@ class Monomial:
 
     def mul(self, other):
         """Product monomial and the integer carry 2**((h2+h2')//2)."""
-        if not other.times:
-            times = self.times
-        elif not self.times:
-            times = other.times
-        else:
-            t = dict(self.times)
-            for k, e in other.times:
-                t[k] = t.get(k, 0) + e
-            times = tuple(sorted(t.items()))
         h2 = self.h2 + other.h2
         mono = Monomial._trusted(self.hl + other.hl, self.hn + other.hn,
-                                 h2 & 1, self.zexp + other.zexp, times)
+                                 h2 & 1, self.zexp + other.zexp,
+                                 merge_times(self.times, other.times))
         return mono, (2 if h2 >= 2 else 1)
 
     def is_one(self):
@@ -176,6 +170,33 @@ class Monomial:
 
 
 _object_new = object.__new__
+
+
+def merge_times(a, b):
+    """The times of the product of two monomials with times a and b: one
+    merge pass over the two sorted tuples, adding the exponents of a
+    shared letter.
+
+    >>> merge_times((((1, 0), 1), ((2, 1), 2)), (((1, 2), 1), ((2, 1), 1)))
+    (((1, 0), 1), ((1, 2), 1), ((2, 1), 3))
+    """
+    if not a or not b:
+        return a or b
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (ka, ea), (kb, eb) = a[i], b[j]
+        if ka == kb:
+            out.append((ka, ea + eb))
+            i += 1
+            j += 1
+        elif ka < kb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _fill(m, hl, hn, h2, zexp, times):
@@ -261,12 +282,15 @@ class TruncSpec:
                          max_time_weight=min(self.max_time_weight,
                                              other.max_time_weight))
 
+    def _caps(self):
+        return (self.max_hl, self.max_time_deg, self.p_max, self.z_min,
+                self.z_max, self.max_time_weight)
+
     def __eq__(self, other):
-        return (isinstance(other, TruncSpec) and
-                (self.max_hl, self.max_time_deg, self.p_max, self.z_min,
-                 self.z_max, self.max_time_weight) ==
-                (other.max_hl, other.max_time_deg, other.p_max, other.z_min,
-                 other.z_max, other.max_time_weight))
+        return isinstance(other, TruncSpec) and self._caps() == other._caps()
+
+    def __hash__(self):
+        return hash(self._caps())
 
     def __repr__(self):
         return ("TruncSpec(max_hl=%d, max_time_deg=%d, p_max=%d, "
@@ -397,11 +421,15 @@ class Series:
         products failing it are discarded during the loop (used by the
         bilinear pipelines to keep only a verified sub-box).
 
-        Time degree and weight add under multiplication, so the larger
-        operand is bucketed by (time degree, time weight) and each term of
-        the smaller one visits the buckets in sorted order: it stops at the
-        first bucket over the box's time degree and skips those over its
-        time weight, never building those products.
+        Every cap but the index cap is checked from integers before a
+        product is built.  Time degree and weight add under multiplication,
+        so the larger operand is bucketed by (time degree, time weight) and
+        each term of the smaller one visits the buckets in sorted order: it
+        stops at the first bucket over the box's time degree and skips
+        those over its time weight.  Within a bucket the sqrtLam power and
+        z are checked per pair.  A product's letters are its operands'
+        letters, so admits runs only when an operand's p_max exceeds the
+        product box's.
         """
         trunc = self.trunc.meet(other.trunc)
         out = Series(trunc)
@@ -412,20 +440,26 @@ class Series:
             small, big = big, small
         max_deg = trunc.max_time_deg
         max_weight = trunc.max_time_weight
+        check_p = max(self.trunc.p_max, other.trunc.p_max) > trunc.p_max
         buckets = {}
         for m2, c2 in big.items():
             buckets.setdefault(m2.grade(), []).append((m2, c2))
         buckets = sorted(buckets.items())
         for m1, c1 in small.items():
             deg1, weight1 = m1.grade()
+            hl_cap = trunc.max_hl - m1.hl
+            z_lo = trunc.z_min - m1.zexp
+            z_hi = trunc.z_max - m1.zexp
             for (deg2, weight2), row in buckets:
                 if deg1 + deg2 > max_deg:
                     break
                 if weight1 + weight2 > max_weight:
                     continue
                 for m2, c2 in row:
+                    if m2.hl > hl_cap or not z_lo <= m2.zexp <= z_hi:
+                        continue
                     mono, carry = m1.mul(m2)
-                    if not trunc.admits(mono):
+                    if check_p and not trunc.admits(mono):
                         continue
                     if admit is not None and not admit(mono):
                         continue

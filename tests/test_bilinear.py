@@ -400,13 +400,14 @@ def test_tensor_ring_is_large_enough(monkeypatch, with_middle):
     assert (base == "") == with_middle
 
 
-def test_sandwich_ring_is_large_enough(monkeypatch):
-    mons = basis_monomials(2, 2, 2)
+@pytest.mark.parametrize("D", [2, 3])
+def test_sandwich_ring_is_large_enough(monkeypatch, D):
+    mons = basis_monomials(D, 2, 2)
     for mono in mons:
         with monkeypatch.context() as mp:
             base, big = _in_both_rings(
                 mp, "_sandwich_ring",
-                lambda: conjugation_sandwich_residual(mono, 2),
+                lambda: conjugation_sandwich_residual(mono, D),
                 # the window p_ring * deg + hl_cap + ... grows by p + deg + 2
                 zpad=lambda r: r.p_max + r.max_time_deg + 2)
         assert base == big == "", mono
@@ -419,5 +420,5 @@ def test_sandwich_ring_is_large_enough(monkeypatch):
                          (r.z_min, r.z_max))
 
     monkeypatch.setattr(bilinear, "_sandwich_ring", lowered)
-    assert any(not conjugation_sandwich_residual(m, 2).is_zero()
+    assert any(not conjugation_sandwich_residual(m, D).is_zero()
                for m in mons)

@@ -303,7 +303,7 @@ def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
            .add_term(-3, times=(((2, 1), 1),)).add_term(1, hl=2)
            .add_term(5, zexp=1))
     monkeypatch.setattr(bilinear, "conjugation_sandwich_residual",
-                        lambda mono, D: bad)
+                        lambda mono, D, _ops: bad)
     code, out, _ = run_cli(capsys, "verify", "conjugation", "--D", "2",
                            "--deg", "1")
     assert code == 1
@@ -354,6 +354,38 @@ def test_conjugation_control_fails_at_least_degree(capsys, monkeypatch, D):
                              "--deg", str(D - 2))
     assert code == 2 and out == ""
     assert "error: --deg must be at least %d" % (D - 1) in err
+
+
+def test_conjugation_control_reaches_shared_closed_form(capsys, monkeypatch):
+    # the sandwich shares [A, Y] across the basis monomials of one ring:
+    # the shared operator must still be the closed form under test
+    orig = bilinear.closed_form_AY
+    monkeypatch.setattr(bilinear, "closed_form_AY",
+                        lambda *args, **kw: orig(*args, **dict(kw, scale=2)))
+    code, out, _ = run_cli(capsys, "verify", "conjugation", "--D", "2")
+    assert code == 1
+    sandwich = [json.loads(x) for x in out.strip().splitlines()][1]
+    assert sandwich["detail"].startswith("mismatch at ")
+
+
+def test_conjugation_keeps_no_operator_across_runs(capsys, monkeypatch):
+    # the operators are shared within one run only: a second run builds
+    # them all again
+    calls = []
+    orig = bilinear.build_Y
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return orig(*args, **kw)
+
+    monkeypatch.setattr(bilinear, "build_Y", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert run_cli(capsys, "verify", "conjugation", "--D", "2")[0] == 0
+        counts.append(len(calls))
+    n_sandwich = len(bilinear.basis_monomials(2, 2, 2))
+    assert 0 < counts[0] == counts[1] < 2 * n_sandwich
 
 
 def test_virasoro_control_fails_at_least_sizes(capsys, monkeypatch):

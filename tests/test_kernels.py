@@ -1,11 +1,17 @@
-"""The two product kernels, Series.mul and DiffOp.apply, against naive
-double loops over every pair of terms, compared by serialize().
+"""The kernels of the series and operator layers against naive
+references: Series.mul and DiffOp.apply against double loops over every
+pair of terms, apply_exp against summed naive powers, compose against
+letter-by-letter Weyl reordering and Monomial.mul against the public
+Monomial constructor.
 
-The kernels skip pairs that cannot land in the box; the references visit
-every pair and build each product through the public Monomial and
-Series._put, so any pair the kernels wrongly skip shows as a difference.
+The kernels skip pairs that cannot land in the box and build their
+results unchecked; the references visit every pair and build each product
+through the public Monomial, Series._put and DiffOp.add_term, so any pair
+the kernels wrongly skip or wrongly keep shows as a difference.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from hypothesis import given, settings, strategies as st
@@ -128,3 +134,146 @@ def test_apply_matches_naive_double_loop(data):
     admit = data.draw(st.sampled_from(LETTER_ADMITS))
     assert (op.apply(s, admit).serialize()
             == naive_apply(op, s, admit).serialize())
+
+
+def naive_apply_exp(op, s, scale, admit=None):
+    """sum_k scale^k/k! naive_apply^k (s), on the admitted terms of s."""
+    cur = s if admit is None else s.filter(lambda m: admit(m.hl, m.times))
+    out = cur
+    weight = GaussRat(1)
+    k = 0
+    while True:
+        cur = naive_apply(op, cur, admit)
+        if cur.is_zero():
+            return out
+        k += 1
+        weight = weight * scale * GaussRat(Fraction(1, k))
+        out = out + cur.scale(weight)
+
+
+@st.composite
+def nilpotent_ops_in(draw, box):
+    """An operator whose every term raises the sqrtLam power by 1, or
+    keeps it and only differentiates: on any box its powers vanish, so
+    exp of it is a finite sum.  Small z shifts and exponents let several
+    powers stay in box.  Its own ring keeps one time index more than box,
+    and half its multiplied letters have that index, which box drops."""
+    ring = TruncSpec(box.max_hl, box.max_time_deg, box.p_max + 1,
+                     (box.z_min, box.z_max))
+    letters = st.tuples(letters_in(ring), st.integers(1, 2))
+    dropped = st.tuples(st.tuples(st.integers(1, 2), st.just(ring.p_max)),
+                        st.integers(1, 2))
+    op = DiffOp(ring)
+    for _ in range(draw(st.integers(1, 4))):
+        hn, h2 = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
+        zexp = draw(st.integers(-1, 1))
+        derivs = draw(st.lists(letters, max_size=2))
+        if derivs and draw(st.booleans()):
+            op.add_term(draw(coeffs), Monomial(0, hn, h2, zexp),
+                        derivs=derivs)
+        else:
+            op.add_term(draw(coeffs), Monomial(1, hn, h2, zexp),
+                        mults=draw(st.lists(st.one_of(dropped, letters),
+                                            max_size=1)),
+                        derivs=derivs)
+    return op
+
+
+@st.composite
+def roomy_boxes(draw):
+    """A box with room for several powers of a nilpotent operator."""
+    deg, p_max = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    weight = draw(st.one_of(st.none(), st.integers(0, deg * p_max)))
+    return TruncSpec(draw(st.integers(1, 3)), deg, p_max,
+                     (draw(st.integers(-4, -1)), draw(st.integers(1, 4))),
+                     max_time_weight=weight)
+
+
+SCALES = [GaussRat(x) for x in (0, 1, -1, Fraction(1, 2))] + [GaussRat(0, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_exp_matches_summed_naive_powers(data):
+    box = data.draw(roomy_boxes())
+    s = data.draw(series_in(box))
+    op = data.draw(nilpotent_ops_in(box))
+    scale = data.draw(st.sampled_from(SCALES))
+    admit = data.draw(st.sampled_from(LETTER_ADMITS))
+    want = naive_apply_exp(op, s, scale, admit)
+    assert op.apply_exp(s, scale, admit).serialize() == want.serialize()
+
+
+@lru_cache(maxsize=4096)
+def normal_order(word):
+    """{(multiplied letters, differentiated letters): count} of a word of
+    ("t", letter) and ("d", letter) factors read left to right, reordered
+    one adjacent pair at a time: d t = t d, plus 1 for the same letter."""
+    for i in range(len(word) - 1):
+        if word[i][0] == "d" and word[i + 1][0] == "t":
+            out = dict(normal_order(
+                word[:i] + (word[i + 1], word[i]) + word[i + 2:]))
+            if word[i][1] == word[i + 1][1]:
+                for key, n in normal_order(word[:i] + word[i + 2:]).items():
+                    out[key] = out.get(key, 0) + n
+            return out
+    return {(tuple(k for s, k in word if s == "t"),
+             tuple(k for s, k in word if s == "d")): 1}
+
+
+def naive_compose(a, b):
+    """a o b by normal-ordering the letter word of every pair of terms."""
+    def word(kind, entries):
+        return tuple((kind, key) for key, e in entries for _ in range(e))
+
+    out = DiffOp(a.trunc)
+    for (m1, mu1, de1), c1 in a.terms.items():
+        for (m2, mu2, de2), c2 in b.terms.items():
+            h2, mult = fold_h2(m1.h2 + m2.h2)
+            mono = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, h2,
+                            m1.zexp + m2.zexp)
+            letters = (word("t", mu1) + word("d", de1) + word("t", mu2)
+                       + word("d", de2))
+            for (ts, ds), n in normal_order(letters).items():
+                out.add_term(c1 * c2 * GaussRat(n * mult), mono,
+                             mults=[(key, 1) for key in ts],
+                             derivs=[(key, 1) for key in ds])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compose_matches_naive_weyl_reordering(data):
+    box_a = data.draw(boxes())
+    box_b = data.draw(st.one_of(st.just(box_a), boxes()))
+    a = data.draw(ops_in(box_a))
+    b = data.draw(ops_in(box_b))
+    got, want = a.compose(b), naive_compose(a, b)
+    assert got.trunc == box_a
+    assert got == want and str(got) == str(want)
+
+
+# a time letter t[c, p]^e of a free-standing monomial
+ENTRIES = st.tuples(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+                    st.integers(1, 3))
+
+
+@st.composite
+def monomials(draw, shared):
+    """A monomial whose times are drawn letters plus the shared ones."""
+    return Monomial(draw(st.integers(0, 3)), draw(st.integers(-3, 3)),
+                    draw(st.integers(0, 1)), draw(st.integers(-3, 3)),
+                    draw(st.lists(ENTRIES, max_size=4)) + shared)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_monomial_mul_matches_public_construction(data):
+    shared = data.draw(st.lists(ENTRIES, max_size=2))
+    m1, m2 = data.draw(monomials(shared)), data.draw(monomials(shared))
+    got, carry = m1.mul(m2)
+    h2, mult = fold_h2(m1.h2 + m2.h2)
+    want = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, h2, m1.zexp + m2.zexp,
+                    m1.times + m2.times)
+    assert got == want and hash(got) == hash(want)
+    assert got.times == want.times and carry == mult
