@@ -99,11 +99,11 @@ cap raised by 1.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .diffops import DiffOp
 from .scalars import GaussRat
-from .series import Monomial, Series, TruncSpec, WindowError
+from .series import Monomial, Series, TruncSpec, WindowError, letter_products
 from .decomposition import build_Y
 from .onematrix import z1mm_series
 
@@ -310,18 +310,13 @@ def _exp_A(c, box, scale):
     (1)*1 + (2)*t[1,0]^1 + (2)*z^1 * t[1,1]^1
     """
     deg = box.max_time_deg
-    top = min(box.z_max - box.z_min, box.max_time_weight)
-    rows = [((), 0, 0, 1)]      # times, degree, weight, prod e_n!
-    for n in range(min(box.p_max, box.z_max) + 1):
-        rows = [(times + (((c, n), e),) if e else times, d + e, w + n * e,
-                 den * factorial(e))
-                for times, d, w, den in rows for e in range(deg - d + 1)
-                if w + n * e <= top]
     out = Series(TruncSpec(box.max_hl, deg, box.p_max,
                            (box.z_min, box.z_max - box.z_min),
                            max_time_weight=box.max_time_weight))
     coeff = {}                  # (degree, prod e_n!) -> scale^degree / it
-    for times, d, w, den in rows:
+    for times, d, w, den in letter_products(
+            [(c, n) for n in range(min(box.p_max, box.z_max) + 1)], deg,
+            min(box.z_max - box.z_min, box.max_time_weight)):
         cf = coeff.get((d, den))
         if cf is None:
             cf = coeff[(d, den)] = GaussRat(Fraction(scale ** d, den))
@@ -424,9 +419,10 @@ def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
     back down.
 
     The operators Y and [A, Y] depend only on D and the two rings, which
-    many basis monomials share.  _ops, a dict the caller keeps for one run
-    over the basis, holds them by (D, ring, comparison box), so each is
-    built once per distinct ring per run; without it they are built here.
+    many basis monomials share.  _ops, a dict that a run over the basis
+    (conjugation_sandwich_residuals) keeps, holds them by (D, ring,
+    comparison box), so each is built once per distinct ring per run;
+    without it they are built here.
     """
     c, hl_cap, p_ring = 1, 4, 4
     colours = tuple(range(1, D + 1))
@@ -456,8 +452,11 @@ def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
 
 def basis_monomials(D, deg_max, p_max):
     """All time monomials over colours 1..D, indices <= p_max (incl. t_0),
-    of degree <= deg_max.
+    of degree <= deg_max, in letter_products order: the unit first, then
+    lexicographic in the exponents of t[1,0], .., t[1,p_max], t[2,0], ..
 
+    >>> [str(m) for m in basis_monomials(2, 1, 1)]
+    ['1', 't[2,1]^1', 't[2,0]^1', 't[1,1]^1', 't[1,0]^1']
     >>> len(basis_monomials(2, 2, 1))       # 1 + 4 + C(5, 2) over 4 times
     15
     >>> basis_monomials(2, -1, 1)
@@ -467,18 +466,19 @@ def basis_monomials(D, deg_max, p_max):
     """
     if deg_max < 0:
         raise ValueError("degree cap must be >= 0, got %d" % deg_max)
-    vars_ = [(c, p) for c in range(1, D + 1) for p in range(p_max + 1)]
-    out = [Monomial()]
-    def rec(start, left, acc):
-        for i in range(start, len(vars_)):
-            d = dict(acc)
-            d[vars_[i]] = d.get(vars_[i], 0) + 1
-            out.append(Monomial(times=tuple(d.items())))
-            if left > 1:
-                rec(i, left - 1, d)
-    if deg_max:
-        rec(0, deg_max, {})
-    return out
+    letters = [(c, p) for c in range(1, D + 1) for p in range(p_max + 1)]
+    return [Monomial(times=times) for times, _d, _w, _den
+            in letter_products(letters, deg_max, p_max * deg_max)]
+
+
+def conjugation_sandwich_residuals(D, deg):
+    """{"mismatch at <m>": thunk} over basis_monomials(D, deg, 2), each
+    thunk the sandwich residual of m; the thunks share one operator dict,
+    so Y and [A, Y] are built once per ring across them."""
+    ops = {}
+    return {"mismatch at %s" % mono:
+            lambda mono=mono: conjugation_sandwich_residual(mono, D, _ops=ops)
+            for mono in basis_monomials(D, deg, 2)}
 
 
 # -- equal-size bilinear on the one-matrix side ----------------------------

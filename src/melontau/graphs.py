@@ -116,9 +116,6 @@ class ColoredGraph:
             groups.setdefault(find(v), []).append(v)
         return sorted(groups.values())
 
-    def is_connected(self):
-        return len(self.components()) == 1
-
     # -- jackets and degree ------------------------------------------------
 
     def jackets(self):

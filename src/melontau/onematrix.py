@@ -30,22 +30,8 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .diffops import DiffOp
-from .series import Monomial, Series, TruncSpec, USeries
+from .series import Monomial, Series, TruncSpec, USeries, letter_products
 from .wick import NPoly, hermitian_moment
-
-
-def time_multisets(p_max, max_deg, max_weight):
-    """Yield exponent dicts {p: a_p} for p >= 1 within the caps."""
-    def rec(p, deg_left, weight_left, acc):
-        if p < 1:
-            yield dict(acc)
-            return
-        yield from rec(p - 1, deg_left, weight_left, acc)
-        for a in range(1, min(deg_left, weight_left // p) + 1):
-            acc[p] = a
-            yield from rec(p - 1, deg_left - a, weight_left - a * p, acc)
-            del acc[p]
-    yield from rec(p_max, max_deg, max_weight, {})
 
 
 def _t0_factor(trunc, colour, nsize=None):
@@ -73,23 +59,15 @@ def z1mm_series(trunc, colour=1, nsize=None, engine="auto"):
     if nsize is not None:
         return z1mm_hankel(trunc, colour, nsize)
     out = Series(trunc)
-    for alpha in time_multisets(trunc.p_max, trunc.max_time_deg,
-                                trunc.max_time_weight):
-        word = []
-        for p, a in alpha.items():
-            word.extend([p] * a)
-        tot = sum(a for a in alpha.values())
-        mom = hermitian_moment(word, engine=engine)
+    for times, tot, _w, den in letter_products(
+            [(colour, p) for p in range(1, trunc.p_max + 1)],
+            trunc.max_time_deg, trunc.max_time_weight):
+        mom = hermitian_moment([p for (_c, p), a in times for _ in range(a)],
+                               engine=engine)
         if mom.is_zero():
             continue
-        denom = 1
-        for a in alpha.values():
-            denom *= factorial(a)
-        extra = Monomial(hn=2 * tot,
-                         times=tuple(((colour, p), a)
-                                     for p, a in sorted(alpha.items())))
-        out = out + mom.to_series(trunc, extra=extra,
-                                  coeff=Fraction((-1) ** tot, denom))
+        extra = Monomial(hn=2 * tot, times=times)
+        out = out + mom.to_series(trunc, extra, Fraction((-1) ** tot, den))
     return out.mul(_t0_factor(trunc, colour))
 
 
@@ -107,21 +85,15 @@ def z1mm_hankel(trunc, colour, nsize):
     """Z at concrete size via N! det[m_{i+j}(t)] / (Gaussian point)."""
     if nsize < 1:
         raise ValueError("size must be >= 1")
+    rows = letter_products([(colour, p) for p in range(1, trunc.p_max + 1)],
+                           trunc.max_time_deg, trunc.max_time_weight)
 
     def mtilde(k):
         s = Series(trunc)
-        for alpha in time_multisets(trunc.p_max, trunc.max_time_deg,
-                                    trunc.max_time_weight):
-            shift = sum(p * a for p, a in alpha.items())
-            g = onedim_gaussian_moment(k + shift, nsize)
-            if not g:
-                continue
-            coeff = g
-            for p, a in alpha.items():
-                coeff *= Fraction((-nsize) ** a, factorial(a))
-            s.add_term(coeff,
-                       times=tuple(((colour, p), a)
-                                   for p, a in sorted(alpha.items())))
+        for times, tot, weight, den in rows:
+            g = onedim_gaussian_moment(k + weight, nsize)
+            if g:
+                s.add_term(g * Fraction((-nsize) ** tot, den), times=times)
         return s
 
     m = [mtilde(k) for k in range(2 * nsize - 1)]

@@ -45,6 +45,7 @@ checks at concrete size and the 2x2 BCH closed form use it.
 """
 
 from fractions import Fraction
+from math import factorial
 
 from .scalars import GaussRat
 
@@ -199,6 +200,31 @@ def merge_times(a, b):
     return tuple(out) + a[i:] + b[j:]
 
 
+def letter_products(letters, max_deg, max_weight):
+    """Every product of the sorted letters (c, p), t[c,p] of weight p,
+    within the degree and weight caps, as rows (times, degree, weight,
+    prod e!) over its exponents e.  The empty product comes first; the
+    rows run through the exponent tuples in lexicographic order, the first
+    letter's exponent varying slowest.
+
+    >>> for row in letter_products([(1, 0), (1, 2)], 2, 2):
+    ...     print(row)
+    ((), 0, 0, 1)
+    ((((1, 2), 1),), 1, 2, 1)
+    ((((1, 0), 1),), 1, 0, 1)
+    ((((1, 0), 1), ((1, 2), 1)), 2, 2, 1)
+    ((((1, 0), 2),), 2, 0, 2)
+    """
+    rows = [((), 0, 0, 1)]
+    for key in letters:
+        p = key[1]
+        rows = [(times + ((key, e),) if e else times, d + e, w + p * e,
+                 den * factorial(e))
+                for times, d, w, den in rows for e in range(max_deg - d + 1)
+                if w + p * e <= max_weight]
+    return rows
+
+
 def _fill(m, hl, hn, h2, zexp, times):
     m.hl = hl
     m.hn = hn
@@ -304,29 +330,16 @@ class Series:
 
     __slots__ = ("trunc", "terms")
 
-    def __init__(self, trunc, terms=None):
+    def __init__(self, trunc):
         self.trunc = trunc
         self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                self._put(mono, _as_coeff(coeff))
 
     # -- construction helpers --------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc):
-        return cls(trunc)
 
     @classmethod
     def one(cls, trunc):
         s = cls(trunc)
         s._put(ONE_MONO, GaussRat(1))
-        return s
-
-    @classmethod
-    def time(cls, trunc, c, p, coeff=1):
-        s = cls(trunc)
-        s._put(Monomial(times=(((c, p), 1),)), _as_coeff(coeff))
         return s
 
     def _put(self, mono, coeff):
@@ -358,9 +371,6 @@ class Series:
         """Exact coefficient; raises if the box never tracked this order."""
         self.trunc.require(mono)
         return self.terms.get(mono, GaussRat(0))
-
-    def constant_term(self):
-        return self.terms.get(ONE_MONO, GaussRat(0))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0]._key)
@@ -484,12 +494,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def pow(self, n):
-        out = Series.one(self.trunc)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
-
     def exp_trunc(self):
         """exp of a series nilpotent under the truncation.
 
@@ -528,7 +532,7 @@ class Series:
             if mono.hl == 0 and mono.time_degree() == 0:
                 raise NilpotencyError("non-nilpotent term %s in log_trunc"
                                       % (mono,))
-        out = Series.zero(self.trunc)
+        out = Series(self.trunc)
         power = Series.one(self.trunc)
         for k in range(1, self.trunc.max_hl + self.trunc.max_time_deg + 1):
             power = power.mul(u)

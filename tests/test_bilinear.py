@@ -1,6 +1,7 @@
 """Vertex operators, bilinear residues, and the operator dressing."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,17 @@ def test_sandwich_wrong_closed_form_scale_fails(monkeypatch, D, sign):
                for m in basis_monomials(D, 2, 2))
 
 
+@pytest.mark.parametrize("D, deg, p", [(2, 2, 2), (3, 2, 2), (3, 3, 1)])
+def test_basis_monomials_is_every_monomial_once(D, deg, p):
+    # the monomials of degree <= deg in D(p+1) letters, the unit first
+    mons = basis_monomials(D, deg, p)
+    assert len(mons) == comb(D * (p + 1) + deg, deg)
+    assert len(set(mons)) == len(mons)
+    assert mons[0].is_one()
+    assert all(m.time_degree() <= deg and 1 <= c <= D and q <= p
+               for m in mons for (c, q), _e in m.times)
+
+
 # -- equal-size bilinear, one-matrix side ---------------------------------
 
 
@@ -126,7 +138,7 @@ def test_naive_a_scale_fails_sharply():
     for m, c in want.items():
         assert got[m] == c
     # the all-times-zero point sees nothing: why calibration needs degree 1
-    assert r.constant_term().is_zero()
+    assert r.coeff(Monomial()).is_zero()
     # and size 1 is blind too
     assert hirota_residual(1, d_ext=1, p_ext=2, a_scale="1").is_zero()
 

@@ -533,3 +533,20 @@ def test_check_names_match_the_benchmark(capsys):
                           for x in out.strip().splitlines())
             assert code == 0, suite
             assert names == workloads.EXPECTED_CHECKS[suite], suite
+
+
+@pytest.mark.parametrize("workload", ["moments", "dressed-bilinear",
+                                      "many-small"])
+def test_traced_benchmark_run_is_correct(workload):
+    # the traced run checks the recorded digests, that every expected span
+    # fires and that every wrapped name exists: a refactor that keeps the
+    # tests green but breaks one of these fails here
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=root, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-1])["correct"] is True, [
+        x for x in lines if x.startswith("FAILED")]

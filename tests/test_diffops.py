@@ -45,7 +45,7 @@ def test_apply_matches_direct_differentiation():
          .add_term(3, times=(((2, 1), 2),)))
     op = DiffOp(T).add_term(2, mults=(((1, 2), 1),), derivs=(((1, 1), 2),))
     direct = s.derive(1, 1).derive(1, 1)
-    direct = direct.mul(Series.time(T, 1, 2)).scale(2)
+    direct = direct.mul(Series(T).add_term(1, times=(((1, 2), 1),))).scale(2)
     assert op.apply(s) == direct
 
 

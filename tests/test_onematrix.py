@@ -10,7 +10,7 @@ from melontau.onematrix import (charpoly_expectation, deformed_onedim_moment,
                                 free_energy_quartic, hankel_chain_residuals,
                                 hankel_z, kernel_norm, onedim_gaussian_moment,
                                 orthogonality_residual, orthopoly_det,
-                                planar_two_point, time_multisets,
+                                planar_two_point,
                                 virasoro_op, virasoro_residual, z1mm_series)
 
 
@@ -33,7 +33,7 @@ def test_z1mm_low_coefficients():
     # t_0 prefactor: exp(-N^2 t_0), and it multiplies everything
     assert z.coeff(mono_t((((1, 0), 1),), hn=4)) == -1
     assert z.coeff(mono_t((((1, 0), 1), ((1, 2), 1)), hn=8)) == 1
-    assert z.constant_term().is_one()
+    assert z.coeff(Monomial()).is_one()
 
 
 def test_z1mm_wick_vs_hankel():
@@ -47,16 +47,6 @@ def test_hankel_respects_weight_cap():
     t = TruncSpec(0, 4, 6, max_time_weight=6)
     for n in (1, 2):
         assert z1mm_series(t).eval_N(n) == z1mm_series(t, nsize=n)
-
-
-def test_time_multisets_counts():
-    # all multisets over p in 1..3 with total count <= 2 (weight cap 3 * 2
-    # never binds)
-    got = sorted(tuple(sorted(d.items())) for d in time_multisets(3, 2, 6))
-    assert len(got) == 1 + 3 + 6
-    assert all(sum(a for _, a in d) <= 2 for d in got)
-    wad = list(time_multisets(4, 10, max_weight=4))
-    assert all(sum(p * a for p, a in d.items()) <= 4 for d in wad)
 
 
 # -- free energy / planar two-point ----------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from melontau.scalars import GaussRat
 from melontau.series import (Monomial, NilpotencyError, OutsideTruncationError,
                              Series, TruncSpec, USeries, WindowError,
-                             parse_series)
+                             letter_products, parse_series)
 from melontau.wick import NPoly
 
 
@@ -180,20 +181,41 @@ def test_silent_discard_and_query_error():
         a.coeff(Monomial(times=(((1, 4), 1),)))
 
 
+def test_letter_products_counts():
+    # all multisets over p in 1..3 with total count <= 2 (weight cap 3 * 2
+    # binds nowhere below it)
+    rows = letter_products([(1, p) for p in (1, 2, 3)], 2, 6)
+    assert len(rows) == 1 + 3 + 6
+    assert rows[0] == ((), 0, 0, 1)
+    assert len({times for times, *_ in rows}) == len(rows)
+    for times, deg, weight, den in rows:
+        assert deg == sum(e for _, e in times) <= 2
+        assert weight == sum(p * e for (_c, p), e in times)
+        assert den == prod(factorial(e) for _, e in times)
+    # the weight cap binds: the partitions of 0..4, 1 + 1 + 2 + 3 + 5
+    wad = letter_products([(1, p) for p in range(1, 5)], 10, 4)
+    assert len(wad) == 12
+    assert all(w == sum(p * e for (_c, p), e in times) <= 4
+               for times, _d, w, _den in wad)
+
+
 def test_time_weight_cut():
     t = TruncSpec(2, 10, 8, max_time_weight=5)
-    s = Series.time(t, 1, 3)
+    s = Series(t).add_term(1, times=(((1, 3), 1),))
     assert not (s * s).is_zero() is False  # weight 6 > 5: discarded
     assert (s * s).is_zero()
-    s0 = Series.time(t, 1, 0)
-    assert not s0.pow(4).is_zero()         # t0 has weight 0
+    s0 = Series(t).add_term(1, times=(((1, 0), 1),))
+    p = Series.one(t)
+    for _ in range(4):
+        p = p.mul(s0)
+    assert not p.is_zero()                 # t0 has weight 0
 
 
 def test_exp_log_inverse():
     s = Series(T).add_term(Fraction(1, 3), hl=1, times=(((1, 2), 1),)) \
                  .add_term(Fraction(-1, 2), times=(((2, 1), 2),))
     e = s.exp_trunc()
-    assert e.constant_term() == GaussRat(1)
+    assert e.coeff(Monomial()) == GaussRat(1)
     assert e.log_trunc() == s
 
 
@@ -210,7 +232,7 @@ def test_exp_matches_closed_form():
     # exp(a*t) coefficients a^k/k!
     a = Fraction(3, 2)
     t = TruncSpec(0, 5, 1)
-    e = Series.time(t, 1, 1, a).exp_trunc()
+    e = Series(t).add_term(a, times=(((1, 1), 1),)).exp_trunc()
     for k in range(6):
         times = (((1, 1), k),) if k else ()
         expect = GaussRat(a ** k) / GaussRat(
@@ -242,7 +264,7 @@ def test_shift_and_residue():
 def test_eval_N():
     s = Series(T).add_term(1, hn=4).add_term(Fraction(1, 2), hn=-2)
     v = s.eval_N(3)
-    assert v.constant_term() == GaussRat(Fraction(9) + Fraction(1, 6))
+    assert v.coeff(Monomial()) == GaussRat(Fraction(9) + Fraction(1, 6))
     with pytest.raises(ValueError):
         Series(T).add_term(1, hn=1).eval_N(2)
 
