@@ -2,7 +2,9 @@
 
 Stage 1 (direct): Z_T = < exp(-N^{D-1} lambda/4 sum_a inv_a) > over the
 tensor Gaussian, expanded through quartic order K by block-summing the
-contraction patterns of the k chosen interaction bubbles.
+contraction patterns of the k chosen interaction bubbles.  The moment of
+a product of bubbles does not depend on their order, so each multiset of
+bubble colours is summed once, weighted by its count of orderings.
 
 Stage 2 (intermediate field): after Hubbard-Stratonovich, one Hermitian
 sigma_c per colour and
@@ -30,37 +32,35 @@ Baker-Campbell-Hausdorff consequence log(e^X e^Y) = X + D/(1-e^{-D}) Y for
 """
 
 from fractions import Fraction
-from itertools import product as iproduct
 from math import factorial
 
 from .diffops import DiffOp
 from .scalars import GaussRat, minus_i_pow
-from .series import Monomial, Series, TruncSpec, USeries, fold_h2
+from .series import (Monomial, Series, TruncSpec, USeries, fold_h2,
+                     letter_products)
 from .wick import (NPoly, hermitian_moment, tensor_moment,
                    tensor_moment_index_oracle)
 from .onematrix import z1mm_series
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _colour_multisets(D, n):
+    """Every q in N^D with 1 <= |q| <= n, as rows (q, |q|, |q|!/prod q_c!).
 
+    A multiset of colours is a product of weight-1 letters, one per colour,
+    so letter_products lists them, and its prod e! column gives the
+    multinomial count of orderings.
 
-def _multinomial(total, q):
-    out = factorial(total)
-    for x in q:
-        out //= factorial(x)
-    return out
+    >>> [(q, count) for q, _total, count in _colour_multisets(2, 2)]
+    [((0, 1), 1), ((0, 2), 1), ((1, 0), 1), ((1, 1), 2), ((2, 0), 1)]
+    """
+    letters = [(c, 1) for c in range(1, D + 1)]
+    return [(tuple(dict(times).get(key, 0) for key in letters), total,
+             factorial(total) // den)
+            for times, total, _w, den in letter_products(letters, n, n)[1:]]
 
 
 def _block_pattern(D, choices):
     """Contraction pattern of prod_i inv_{a_i}: block sum of quartic melons."""
-    k = len(choices)
     perms = []
     for c in range(1, D + 1):
         p = []
@@ -84,13 +84,12 @@ def direct_tensor_z(D, order, moments=None):
         moments = tensor_moment
     trunc = TruncSpec(2 * order, 0, 0)
     out = Series.one(trunc)
-    for k in range(1, order + 1):
-        pref = Fraction((-1) ** k, 4 ** k * factorial(k))
-        for choices in iproduct(range(1, D + 1), repeat=k):
-            mom = moments(_block_pattern(D, choices))
-            out = out + mom.to_series(
-                trunc, extra=Monomial(hl=2 * k, hn=2 * (D - 1) * k),
-                coeff=pref)
+    for q, k, count in _colour_multisets(D, order):
+        choices = tuple(c for c, qc in enumerate(q, 1) for _ in range(qc))
+        mom = moments(_block_pattern(D, choices))
+        out = out + mom.to_series(
+            trunc, extra=Monomial(hl=2 * k, hn=2 * (D - 1) * k),
+            coeff=Fraction((-1) ** k * count, 4 ** k * factorial(k)))
     return out
 
 
@@ -125,15 +124,11 @@ def intermediate_field_z(D, order):
     hl_max = 2 * order
     trunc = TruncSpec(hl_max, D * hl_max, hl_max, max_time_weight=hl_max)
     expo = Series(trunc)
-    for total in range(1, hl_max + 1):
-        for q in _compositions(total, D):
-            coeff = (minus_i_pow(total)
-                     * GaussRat(Fraction(_multinomial(total, q), total)))
-            zeros = sum(1 for x in q if x == 0)
-            times = tuple(((c + 1, qc), 1) for c, qc in enumerate(q) if qc)
-            expo.add_term(coeff, hl=total,
-                          hn=-(D - 2) * total + 2 * zeros, h2=-total,
-                          times=times)
+    for q, total, count in _colour_multisets(D, hl_max):
+        times = tuple(((c + 1, qc), 1) for c, qc in enumerate(q) if qc)
+        expo.add_term(minus_i_pow(total) * GaussRat(Fraction(count, total)),
+                      hl=total, hn=-(D - 2) * total + 2 * q.count(0),
+                      h2=-total, times=times)
     return trace_expectation(expo.exp_trunc()).restrict(
         TruncSpec(hl_max, 0, 0))
 
@@ -149,17 +144,14 @@ def build_Y(D, trunc, colours=None):
     if trunc.p_max < trunc.max_hl:
         raise ValueError("ring must retain indices up to max_hl")
     op = DiffOp(trunc)
-    for total in range(1, trunc.max_hl + 1):
-        for q in _compositions(total, D):
-            coeff = (minus_i_pow(total) * GaussRat((-1) ** D)
-                     * GaussRat(Fraction(_multinomial(total, q), total)))
-            h2, mult = fold_h2(-total)
-            coeff = coeff * GaussRat(mult)
-            mono = Monomial(hl=total, hn=-2 * D - (D - 2) * total, h2=h2)
-            derivs = {}
-            for c, qc in zip(colours, q):
-                derivs[(c, qc)] = derivs.get((c, qc), 0) + 1
-            op.add_term(coeff, mono, derivs=tuple(derivs.items()))
+    for q, total, count in _colour_multisets(D, trunc.max_hl):
+        h2, mult = fold_h2(-total)
+        coeff = minus_i_pow(total) * GaussRat(
+            Fraction((-1) ** D * count, total) * mult)
+        mono = Monomial(hl=total, hn=-2 * D - (D - 2) * total, h2=h2)
+        # add_term merges the derivatives of a colour listed twice
+        op.add_term(coeff, mono,
+                    derivs=tuple((key, 1) for key in zip(colours, q)))
     return op
 
 
@@ -192,8 +184,8 @@ def eY_applied_z(D, order):
         # nsize=None spelled out: bench/digests.json keys on this call shape
         prod = prod.mul(z1mm_series(trunc, colour=c, nsize=None))
     Y = build_Y(D, trunc, colours)
-    return Y.apply_exp(prod).subs_time_zero().restrict(
-        TruncSpec(hl_max, 0, 0))
+    # the time-free box keeps the t = 0 terms
+    return Y.apply_exp(prod).restrict(TruncSpec(hl_max, 0, 0))
 
 
 def decomposition_residuals(D, order):
@@ -207,17 +199,19 @@ def decomposition_residuals(D, order):
 def tensor_free_energy_exponents(D, order):
     """N-exponents of each lambda^k coefficient of log Z_T (route 1).
 
-    Returns {k: sorted list of integer exponents}; odd sqrt-powers of
-    lambda or N anywhere would be an error.
+    Returns {k: sorted list of integer exponents}, from USeries.log of Z_T
+    as a lambda-series over NPoly.  An odd power of sqrtLam, sqrtN or
+    sqrt2 or a non-real coefficient in Z_T would be an error.
     """
     z = direct_tensor_z(D, order)
-    f = z.log_trunc()
-    out = {k: set() for k in range(1, order + 1)}
-    for m, _c in f.terms.items():
-        if m.hl % 2 or m.hn % 2 or m.h2:
-            raise AssertionError("non-integer power in free energy: %s" % m)
-        out[m.hl // 2].add(m.hn // 2)
-    return {k: sorted(v) for k, v in out.items()}
+    coeffs = [NPoly() for _ in range(order + 1)]
+    for m, c in z.terms.items():
+        if m.hl % 2 or m.hn % 2 or m.h2 or c.im:
+            raise AssertionError("not a real series in lambda and N: %s * %s"
+                                 % (c, m))
+        coeffs[m.hl // 2] = coeffs[m.hl // 2] + NPoly.N_pow(m.hn // 2, c.re)
+    f = USeries(coeffs, order, NPoly()).log()
+    return {k: sorted(f[k].c) for k in range(1, order + 1)}
 
 
 # -- Baker-Campbell-Hausdorff in the faithful 2x2 representation -----------

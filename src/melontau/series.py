@@ -41,7 +41,7 @@ box keeps larger indices than the product's.
 
 USeries, at the end of the module, is the one-variable truncated series:
 a coefficient list indexed by power, over Fraction or NPoly.  The one-matrix
-checks at concrete size and the 2x2 BCH closed form use it.
+checks at concrete size, both free energies and the 2x2 BCH closed form use it.
 """
 
 from fractions import Fraction
@@ -261,7 +261,10 @@ class TruncSpec:
     def __init__(self, max_hl, max_time_deg, p_max, z_window=(-64, 64),
                  max_time_weight=None):
         z_min, z_max = z_window
-        if max_hl < 0 or max_time_deg < 0 or p_max < 0 or z_min > z_max:
+        if max_time_weight is None:
+            max_time_weight = p_max * max_time_deg
+        if (max_hl < 0 or max_time_deg < 0 or p_max < 0 or z_min > z_max
+                or max_time_weight < 0):
             raise ValueError("empty truncation box")
         if 0 < z_min or 0 > z_max:
             raise ValueError("z window must contain 0")
@@ -270,8 +273,7 @@ class TruncSpec:
         self.p_max = p_max
         self.z_min = z_min
         self.z_max = z_max
-        self.max_time_weight = (p_max * max_time_deg if max_time_weight is None
-                                else max_time_weight)
+        self.max_time_weight = max_time_weight
 
     def admits(self, mono):
         if mono.hl > self.max_hl:
@@ -374,9 +376,6 @@ class Series:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0]._key)
-
-    def __len__(self):
-        return len(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, Series) and self.terms == other.terms
@@ -522,25 +521,6 @@ class Series:
             out = out + power.scale(GaussRat(Fraction(1, kfact)))
         return out
 
-    def log_trunc(self):
-        """log(1 + u) where self = 1 + u with u nilpotent under truncation."""
-        u = self.copy()
-        c0 = u.terms.pop(ONE_MONO, GaussRat(0))
-        if not c0.is_one():
-            raise ValueError("log_trunc needs constant term exactly 1")
-        for mono in u.terms:
-            if mono.hl == 0 and mono.time_degree() == 0:
-                raise NilpotencyError("non-nilpotent term %s in log_trunc"
-                                      % (mono,))
-        out = Series(self.trunc)
-        power = Series.one(self.trunc)
-        for k in range(1, self.trunc.max_hl + self.trunc.max_time_deg + 1):
-            power = power.mul(u)
-            if power.is_zero():
-                break
-            out = out + power.scale(GaussRat(Fraction((-1) ** (k + 1), k)))
-        return out
-
     # -- calculus in the times --------------------------------------------
 
     def derive(self, c, p):
@@ -558,14 +538,6 @@ class Series:
                 t[key] = e - 1
             s._put(Monomial._trusted(m.hl, m.hn, m.h2, m.zexp,
                                      tuple(t.items())), coeff * e)
-        return s
-
-    def subs_time_zero(self):
-        """Set every time variable to zero (keep only time-free terms)."""
-        s = Series(self.trunc)
-        for m, c in self.terms.items():
-            if not m.times:
-                s._put(m, c)
         return s
 
     # -- z structure -------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+import math
 
 import pytest
 
@@ -13,7 +14,8 @@ from melontau.decomposition import (bch_gamma, bch_gamma_sym,
                                     eY_applied_z, intermediate_field_z,
                                     tensor_free_energy_exponents,
                                     trace_expectation, _block_pattern,
-                                    _compositions)
+                                    _colour_multisets)
+from melontau import decomposition
 from melontau.graphs import ColoredGraph
 from melontau.wick import tensor_moment
 
@@ -62,7 +64,7 @@ def test_wrong_normalization_is_detected():
     for c in (1, 2, 3):
         prod = prod.mul(z1mm_series(trunc, colour=c))
     bad = build_Y(D, trunc).scale(2).apply_exp(prod) \
-        .subs_time_zero().restrict(TruncSpec(hl_max, 0, 0))
+        .restrict(TruncSpec(hl_max, 0, 0))
     assert not (direct - bad).is_zero()
 
 
@@ -124,6 +126,18 @@ def test_tensor_free_energy_grading_D2():
         assert all(e % 2 == 0 and e <= 2 for e in exps)
 
 
+@pytest.mark.parametrize("term", [
+    {"coeff": 1, "hl": 2, "hn": 3},                     # odd sqrtN power
+    {"coeff": GaussRat(0, 1), "hl": 2, "hn": 2},        # imaginary
+])
+def test_tensor_free_energy_grading_guard(monkeypatch, term):
+    def fake(D, order):
+        return Series.one(TruncSpec(2 * order, 0, 0)).add_term(**term)
+    monkeypatch.setattr(decomposition, "direct_tensor_z", fake)
+    with pytest.raises(AssertionError):
+        tensor_free_energy_exponents(3, 2)
+
+
 def test_melonic_dominance_first_orders():
     # leading exponent is exactly D - ... = 3 at every computed order for D=3
     expo = tensor_free_energy_exponents(3, 2)
@@ -172,6 +186,15 @@ def test_bch_gamma_two_forms_agree():
     assert bch_gamma(8) == bch_gamma_sym(8)
 
 
-def test_compositions_count():
-    assert len(list(_compositions(2, 3))) == 6
-    assert len(list(_compositions(1, 2))) == 2
+def test_colour_multisets():
+    for D in (2, 3, 4):
+        for n in range(4):
+            rows = _colour_multisets(D, n)
+            qs = [q for q, _total, _count in rows]
+            assert len(rows) == math.comb(n + D, D) - 1, (D, n)
+            assert len(set(qs)) == len(qs)
+            assert (0,) * D not in qs
+            for q, total, count in rows:
+                assert len(q) == D and 1 <= total == sum(q) <= n
+                assert count == math.factorial(total) // math.prod(
+                    math.factorial(x) for x in q)

@@ -40,6 +40,20 @@ def test_monomial_rejects_unnormalized():
         Monomial(hl=-1)
 
 
+@pytest.mark.parametrize("args,kwargs", [
+    ((-1, 2, 2), {}),                             # negative sqrtLam cap
+    ((2, -1, 2), {}),                             # negative time degree
+    ((2, 2, -1), {}),                             # negative index cap
+    ((2, 2, 2, (3, -3)), {}),                     # z_min > z_max
+    ((2, 2, 2, (1, 4)), {}),                      # window without 0
+    ((2, 2, 2, (-4, -1)), {}),                    # window without 0
+    ((2, 2, 2), {"max_time_weight": -1}),         # negative weight cap
+])
+def test_truncspec_refuses_empty_box(args, kwargs):
+    with pytest.raises(ValueError):
+        TruncSpec(*args, **kwargs)
+
+
 def test_meet_of_equal_boxes_is_self():
     a = TruncSpec(4, 3, 5, (-2, 2), max_time_weight=7)
     assert a.meet(a) is a
@@ -211,12 +225,12 @@ def test_time_weight_cut():
     assert not p.is_zero()                 # t0 has weight 0
 
 
-def test_exp_log_inverse():
-    s = Series(T).add_term(Fraction(1, 3), hl=1, times=(((1, 2), 1),)) \
-                 .add_term(Fraction(-1, 2), times=(((2, 1), 2),))
-    e = s.exp_trunc()
+def test_exp_of_commuting_sum():
+    s1 = Series(T).add_term(Fraction(1, 3), hl=1, times=(((1, 2), 1),))
+    s2 = Series(T).add_term(Fraction(-1, 2), times=(((2, 1), 2),))
+    e = (s1 + s2).exp_trunc()
     assert e.coeff(Monomial()) == GaussRat(1)
-    assert e.log_trunc() == s
+    assert e == s1.exp_trunc().mul(s2.exp_trunc())
 
 
 def test_exp_nilpotency_guard():
