@@ -145,12 +145,16 @@ class DiffOp:
 
     # -- action on series --------------------------------------------------
 
-    def apply(self, series, admit=None):
+    def apply(self, series, admit=None, box=None):
         """self applied to series, restricted to the ring of series.
 
         admit, if given, is an extra predicate admit(hl, times) on each
         result's sqrtLam power and time letters, checked before the
         Monomial is built; rejected results are discarded.
+
+        box, if given, is the box the caller keeps: the result is
+        self.apply(series).restrict(box), on the ring series.trunc ^ box,
+        but no term outside that ring is ever built.
 
         Only pairs that can land in the ring are visited.  A per-call index
         maps each time letter (c, p) to the series terms containing it, in
@@ -161,13 +165,17 @@ class DiffOp:
         and the series term's time degree and weight plus the op term's
         change of them.  The result's times come from merge passes over
         sorted tuples: _strip takes the derivatives off, merge_times adds
-        the multiplications.  The only cap left is the index cap on a
-        multiplied letter, which every result of that op term keeps, so
-        it is checked once per op term.
+        the multiplications.  The only cap left is the index cap.  On a
+        multiplied letter every result of that op term keeps it, so it is
+        checked once per op term; on the series term's letters it is
+        checked after _strip, and only when box keeps fewer indices than
+        the series' ring.
         """
-        out = Series(series.trunc)
+        box = series.trunc if box is None else series.trunc.meet(box)
+        out = Series(box)
         terms = out.terms
-        box = out.trunc
+        p_max = box.p_max
+        check_p = p_max < series.trunc.p_max
         trusted = Monomial._trusted
         entries = []
         by_letter = {}
@@ -177,7 +185,7 @@ class DiffOp:
             for key, _e in sm.times:
                 by_letter.setdefault(key, []).append(entry)
         for (m, mu, de), c in self.terms.items():
-            if any(p > box.p_max for (_c, p), _b in mu):
+            if any(p > p_max for (_c, p), _b in mu):
                 continue
             if de:
                 candidates = min((by_letter.get(key, ()) for key, _a in de),
@@ -198,6 +206,8 @@ class DiffOp:
                     continue
                 times, val = _strip(sm.times, de) if de else (sm.times, 1)
                 if not val:
+                    continue
+                if check_p and any(p > p_max for (_c, p), _e in times):
                     continue
                 if mu:
                     times = merge_times(times, mu)

@@ -5,19 +5,26 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
-@dataclass
 class CheckReport:
-    """One verification outcome: a name, a verdict, and the knobs used."""
+    """One verification outcome: a name, a verdict, and the knobs used.
 
-    name: str
-    passed: bool
-    params: dict[str, Any] = field(default_factory=dict)
-    detail: str = ""
-    elapsed_s: float = 0.0
+    A plain class, not a dataclass: importing dataclasses pulls in
+    inspect and ast, which every command-line start would pay for.
+    """
+
+    __slots__ = ("name", "passed", "params", "detail", "elapsed_s")
+
+    def __init__(self, name: str, passed: bool,
+                 params: dict[str, Any] | None = None, detail: str = "",
+                 elapsed_s: float = 0.0) -> None:
+        self.name = name
+        self.passed = passed
+        self.params = {} if params is None else params
+        self.detail = detail
+        self.elapsed_s = elapsed_s
 
     def json_line(self) -> str:
         return json.dumps(

@@ -31,13 +31,15 @@ Everything is a plain dict keyed by Monomial; values are GaussRat and never
 zero.  A Monomial caches its hash; the public constructor validates, merges
 and sorts its times, while Monomial.mul (and through it Series.mul),
 DiffOp.apply and the Series maps derive, shift_z, residue_z and eval_N,
-whose inputs are valid monomials already, build their results unchecked.
+whose inputs are valid monomials already, build their results unchecked,
+and so does onematrix.z1mm_series from letter_products rows.
 The two product kernels, Series.mul and DiffOp.apply, reject from
 integers (time degree and weight, sqrtLam power and z) the pairs whose
 product cannot land in the box, and merge the two sorted times tuples of
 a pair that can (merge_times).  Only the index cap is left: apply checks
-it once per operator term, and mul calls admits only when an operand's
-box keeps larger indices than the product's.
+it once per operator term, and per term only when it is given a box that
+keeps smaller indices than the series' ring; mul calls admits only when an
+operand's box keeps larger indices than the product's.
 
 USeries, at the end of the module, is the one-variable truncated series:
 a coefficient list indexed by power, over Fraction or NPoly.  The one-matrix
@@ -113,9 +115,9 @@ class Monomial:
     def _trusted(cls, hl, hn, h2, zexp, times):
         """Monomial from inputs already valid, merged and sorted (no checks).
 
-        Only for callers that build times from valid Monomials' times:
-        Monomial.mul, DiffOp.apply and Series.derive, shift_z, residue_z
-        and eval_N.
+        Only for callers that build times from valid Monomials' times or
+        from letter_products rows: Monomial.mul, DiffOp.apply,
+        Series.derive, shift_z, residue_z and eval_N, and z1mm_series.
         """
         m = _object_new(cls)
         _fill(m, hl, hn, h2, zexp, times)

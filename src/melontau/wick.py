@@ -9,9 +9,11 @@ Two independent engines compute it:
        <Tr M^p R> = (1/N) [ sum_{d=0}^{p-2} <Tr M^d Tr M^{p-2-d} R>
                             + sum_{TrM^q in R} q <Tr M^{p+q-2} R/TrM^q> ],
    with each Tr M^0 = N factored out, memoized on the sorted zero-free
-   word.  Every symbolic one-matrix partition function and Virasoro check
-   runs on it; it makes 18-slot words (34M pairings) and the long Virasoro
-   words affordable;
+   word.  Every coefficient counts gluings, so the recursion runs on
+   integer counts ({N-exponent: int} dicts) and hermitian_moment wraps
+   its result once as an NPoly.  Every symbolic one-matrix partition
+   function and Virasoro check runs on it; it makes 18-slot words (34M
+   pairings) and the long Virasoro words affordable;
  * "pairing", the reference: lay the traces out on slots with successor
    permutation gamma, sum N^{cycles(gamma o tau) - #pairs} over all
    pairing involutions tau.  Unmemoized, (2k-1)!! pairings per 2k-slot
@@ -182,42 +184,47 @@ _rec_memo = {}
 
 
 def _moment_recursion(word):
-    """The recursion on word; each Tr M^0 = N is factored out before the
-    memo, which holds only zero-free words, sorted descending."""
+    """The recursion on word, as {N-exponent: count}; each Tr M^0 = N is
+    factored out before the memo, which holds only zero-free words,
+    sorted descending.  The dict may be a memo entry: do not mutate it."""
     core = tuple(sorted((p for p in word if p), reverse=True))
     out = _moment_core(core)
     zeros = len(word) - len(core)
-    return out * NPoly.N_pow(zeros) if zeros else out
+    return {k + zeros: v for k, v in out.items()} if zeros else out
+
+
+def _gather(acc, poly, shift, mult=1):
+    """acc += mult * N^shift * poly, in place."""
+    for k, v in poly.items():
+        k += shift
+        acc[k] = acc.get(k, 0) + mult * v
 
 
 def _moment_core(word):
     if not word:
-        return NPoly.const(1)
+        return {0: 1}
     hit = _rec_memo.get(word)
     if hit is not None:
         return hit
     p, rest = word[0], word[1:]
-    if sum(word) % 2:
-        out = NPoly()
-    else:
-        # the d = 0 and d = p-2 terms carry Tr M^0 = N
-        if p == 1:
-            acc = NPoly()
-        elif p == 2:
-            acc = NPoly.N_pow(2) * _moment_core(rest)
-        else:
-            acc = NPoly.N_pow(1, 2) * _moment_recursion(rest + (p - 2,))
+    acc = {}
+    if not sum(word) % 2:
+        # the overall 1/N is in each shift; the d = 0 and d = p-2 terms
+        # carry Tr M^0 = N
+        if p == 2:
+            _gather(acc, _moment_core(rest), 1)
+        elif p > 2:
+            _gather(acc, _moment_recursion(rest + (p - 2,)), 0, 2)
         for d in range(1, p - 2):
-            acc = acc + _moment_recursion(rest + (d, p - 2 - d))
+            _gather(acc, _moment_recursion(rest + (d, p - 2 - d)), -1)
         for i, q in enumerate(rest):
             if i and rest[i] == rest[i - 1]:
                 continue
-            mult = rest.count(q)
-            acc = acc + mult * q * _moment_recursion(
-                rest[:i] + rest[i + 1:] + (p + q - 2,))
-        out = NPoly.N_pow(-1) * acc
-    _rec_memo[word] = out
-    return out
+            _gather(acc, _moment_recursion(
+                rest[:i] + rest[i + 1:] + (p + q - 2,)), -1,
+                rest.count(q) * q)
+    _rec_memo[word] = acc
+    return acc
 
 
 def hermitian_moment(word, engine="auto"):
@@ -240,7 +247,7 @@ def hermitian_moment(word, engine="auto"):
     if any(p < 0 for p in word):
         raise ValueError("negative trace power")
     if engine == "auto":
-        return _moment_recursion(word)
+        return NPoly(_moment_recursion(word))
     if engine != "pairing":
         raise ValueError("unknown engine %r" % (engine,))
     nzeros = sum(1 for p in word if p == 0)

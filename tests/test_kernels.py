@@ -1,8 +1,8 @@
 """The kernels of the series and operator layers against naive
 references: Series.mul and DiffOp.apply against double loops over every
-pair of terms, apply_exp against summed naive powers, compose against
-letter-by-letter Weyl reordering and Monomial.mul against the public
-Monomial constructor.
+pair of terms, apply onto a box against apply followed by restrict,
+apply_exp against summed naive powers, compose against letter-by-letter
+Weyl reordering and Monomial.mul against the public Monomial constructor.
 
 The kernels skip pairs that cannot land in the box and build their
 results unchecked; the references visit every pair and build each product
@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from melontau.diffops import DiffOp
@@ -187,6 +188,36 @@ def roomy_boxes(draw):
     return TruncSpec(draw(st.integers(1, 3)), deg, p_max,
                      (draw(st.integers(-4, -1)), draw(st.integers(1, 4))),
                      max_time_weight=weight)
+
+
+@st.composite
+def sub_boxes(draw, box, cap):
+    """box with one cap lowered by at least one where it can be: sqrtLam,
+    degree, index, weight or both ends of the z window."""
+    caps = {"hl": box.max_hl, "deg": box.max_time_deg, "p": box.p_max,
+            "weight": box.max_time_weight}
+    z = (box.z_min, box.z_max)
+    if cap == "z":
+        z = (draw(st.integers(min(box.z_min + 1, 0), 0)),
+             draw(st.integers(0, max(box.z_max - 1, 0))))
+    else:
+        caps[cap] = draw(st.integers(0, max(caps[cap] - 1, 0)))
+    return TruncSpec(caps["hl"], caps["deg"], caps["p"], z,
+                     max_time_weight=caps["weight"])
+
+
+@pytest.mark.parametrize("cap", ["hl", "deg", "p", "weight", "z"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_apply_onto_a_box_is_apply_then_restrict(cap, data):
+    ring = data.draw(roomy_boxes())
+    s = data.draw(series_in(ring))
+    op = data.draw(st.one_of(ops_in(ring), nilpotent_ops_in(ring)))
+    box = data.draw(sub_boxes(ring, cap))
+    admit = data.draw(st.sampled_from(LETTER_ADMITS))
+    got, want = op.apply(s, admit, box), op.apply(s, admit).restrict(box)
+    assert got.trunc == want.trunc
+    assert got.serialize() == want.serialize()
 
 
 SCALES = [GaussRat(x) for x in (0, 1, -1, Fraction(1, 2))] + [GaussRat(0, 1)]

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from melontau import onematrix
 from melontau.diffops import DiffOp
 from melontau.series import Monomial, Series, TruncSpec
 from melontau.wick import NPoly
@@ -117,18 +118,27 @@ def test_virasoro_inner_ring_is_large_enough(n, p_ext, deg):
     assert any(seen[0])
 
 
-def test_virasoro_detects_wrong_operator():
-    # negative control: breaking the d_{t_{n+2}} coefficient must show up
+def test_virasoro_detects_wrong_operator(monkeypatch):
+    # negative control, run through virasoro_residual's own route: breaking
+    # the d_{t_{n+2}} coefficient must show up in the box it certifies
     n, p_ext, deg = 0, 2, 2
-    p_int = p_ext + n + 2
-    inner = TruncSpec(0, deg + 2, p_int,
-                      max_time_weight=p_ext * deg + n + 2)
-    z = z1mm_series(inner)
-    op = virasoro_op(n, inner)
-    bad = op + op.__class__(inner).add_term(
-        1, derivs=(((1, n + 2), 1),))
-    res = bad.apply(z).restrict(TruncSpec(0, deg, p_ext))
+    good = onematrix.virasoro_op
+
+    def broken(n, trunc):
+        return good(n, trunc) + DiffOp(trunc).add_term(
+            1, derivs=(((1, n + 2), 1),))
+
+    monkeypatch.setattr(onematrix, "virasoro_op", broken)
+    res = virasoro_residual(n, p_ext, deg)
     assert not res.is_zero()
+    # the same box coefficients as the whole L_n Z on the inner ring,
+    # restricted afterwards
+    inner = TruncSpec(0, deg + 2, p_ext + n + 2,
+                      max_time_weight=p_ext * deg + n + 2)
+    box = TruncSpec(0, deg, p_ext)
+    want = broken(n, inner).apply(z1mm_series(inner)).restrict(box)
+    assert res.trunc == want.trunc
+    assert res.serialize() == want.serialize()
 
 
 # -- orthogonal polynomials ------------------------------------------------
