@@ -533,21 +533,6 @@ def calibrate_conventions():
 # -- deformed bilinear on the tensor side ----------------------------------
 
 
-def _colour_budget_filter(series, budgets):
-    """Keep monomials whose per-colour letter count/weight fit the budgets."""
-    def ok(m):
-        use = {}
-        for (cc, p), e in m.times:
-            cnt, wt = use.get(cc, (0, 0))
-            use[cc] = (cnt + e, wt + p * e)
-        for cc, (cnt, wt) in use.items():
-            bc, bw = budgets[cc]
-            if cnt > bc or wt > bw:
-                return False
-        return True
-    return series.filter(ok)
-
-
 def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
                          a_scale="N", prefilter=True, with_middle=True):
     """Dressed vertex applied to e^{Y} prod_c Z^{(c)} with times alive.
@@ -570,12 +555,13 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
     for cc in colours:
         zc = z1mm_series(ring, colour=cc, nsize=nsize)
         if prefilter:
-            if cc == c_act:
-                budget = {cc: (P + 2 * K + d_ext,
-                               P + 2 * K + d_ext * p_ext)}
-            else:
-                budget = {cc: (2 * K + d_ext, 2 * K + d_ext * p_ext)}
-            zc = _colour_budget_filter(zc, budget)
+            # every letter of zc has colour cc, so the colour's letter
+            # count and weight budgets are a degree and a weight cap
+            extra = P if cc == c_act else 0
+            budget = TruncSpec(ring.max_hl, extra + 2 * K + d_ext, P,
+                               (ring.z_min, ring.z_max),
+                               max_time_weight=extra + 2 * K + d_ext * p_ext)
+            zc = zc.filter(budget.admits)
         # more letters never help a term into the box: cut partial products
         prod = prod.mul(zc, admit=lambda m: reach(m.hl, m.times))
     s = build_Y(D, ring, colours).apply_exp(prod, admit=reach)

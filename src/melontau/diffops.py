@@ -30,15 +30,8 @@ without its validation and sorting.
 
 from math import comb, perm
 
-from .scalars import GaussRat
-from .series import Monomial, Series, merge_times
-
-
-def _msorted(pairs):
-    d = {}
-    for k, e in pairs:
-        d[k] = d.get(k, 0) + e
-    return tuple(sorted((k, e) for k, e in d.items() if e))
+from .series import (Monomial, Series, _as_coeff, _Terms, merge_times,
+                     normal_times)
 
 
 def _strip(times, derivs):
@@ -62,8 +55,9 @@ def _strip(times, derivs):
     return tuple(out) + times[i:], val
 
 
-class DiffOp:
-    """Normal-ordered operator under a TruncSpec ring restriction.
+class DiffOp(_Terms):
+    """Normal-ordered operator under a TruncSpec ring restriction: terms
+    maps (mono, mults, derivs) to its coefficient.
 
     >>> from melontau.series import TruncSpec
     >>> T = TruncSpec(0, 2, 2)
@@ -73,11 +67,7 @@ class DiffOp:
     True
     """
 
-    __slots__ = ("trunc", "terms")
-
-    def __init__(self, trunc):
-        self.trunc = trunc
-        self.terms = {}          # (mono, mults, derivs) -> GaussRat
+    __slots__ = ()
 
     def _fits(self, mono, letters):
         """mono's sqrtLam power and z, and the letters' indices, lie in
@@ -86,62 +76,25 @@ class DiffOp:
         return (mono.hl <= t.max_hl and t.z_min <= mono.zexp <= t.z_max
                 and all(p <= t.p_max for (_c, p), _e in letters))
 
-    def _put(self, key, coeff):
-        """Accumulate coeff onto a key in the ring, dropping a zero total."""
-        if coeff.is_zero():
-            return
-        cur = self.terms.get(key)
-        tot = coeff if cur is None else cur + coeff
-        if tot.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = tot
-
     def add_term(self, coeff, mono=None, mults=(), derivs=()):
-        coeff = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
         mono = mono or Monomial()
         if mono.times:
             raise ValueError("operator mono factor must be time-free")
-        mults = _msorted(mults)
-        derivs = _msorted(derivs)
-        # apply builds Monomials from these entries without re-checking them
-        for (c, p), e in mults + derivs:
-            if c < 1 or p < 0 or e < 1:
-                raise ValueError("bad time entry %r" % (((c, p), e),))
+        # apply builds Monomials from these letters without re-checking them
+        mults = normal_times(mults)
+        derivs = normal_times(derivs)
         if self._fits(mono, mults + derivs):
-            self._put((mono, mults, derivs), coeff)
+            self._accumulate((mono, mults, derivs), _as_coeff(coeff))
         return self
 
     # -- linear structure --------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
-        out = DiffOp(self.trunc)
-        out.terms = dict(self.terms)
+        out = self.copy()
         for key, c in other.terms.items():
             if out._fits(key[0], key[1] + key[2]):
-                out._put(key, c)
+                out._accumulate(key, c)
         return out
-
-    def __neg__(self):
-        out = DiffOp(self.trunc)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = coeff if isinstance(coeff, GaussRat) else GaussRat(coeff)
-        out = DiffOp(self.trunc)
-        if not coeff.is_zero():
-            out.terms = {k: c * coeff for k, c in self.terms.items()}
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, DiffOp) and self.terms == other.terms
 
     # -- action on series --------------------------------------------------
 
@@ -173,7 +126,7 @@ class DiffOp:
         """
         box = series.trunc if box is None else series.trunc.meet(box)
         out = Series(box)
-        terms = out.terms
+        put = out._accumulate
         p_max = box.p_max
         check_p = p_max < series.trunc.p_max
         trusted = Monomial._trusted
@@ -221,17 +174,7 @@ class DiffOp:
                 mono = trusted(hl, m.hn + sm.hn, h2,
                                m.zexp + sm.zexp, times)
                 coeff = c * sc
-                if val != 1:
-                    coeff = coeff * val
-                cur = terms.get(mono)
-                if cur is None:
-                    terms[mono] = coeff
-                else:
-                    cur = cur + coeff
-                    if cur.is_zero():
-                        del terms[mono]
-                    else:
-                        terms[mono] = cur
+                put(mono, coeff * val if val != 1 else coeff)
         return out
 
     def apply_exp(self, series, scale=1, admit=None):
@@ -247,12 +190,11 @@ class DiffOp:
         RuntimeError when the iteration count exceeds a generous structural
         bound.
         """
-        scale = scale if isinstance(scale, GaussRat) else GaussRat(scale)
+        scale = _as_coeff(scale)
         out = (series.copy() if admit is None
                else series.filter(lambda m: admit(m.hl, m.times)))
         if scale.is_zero():
             return out
-        terms = out.terms
         cur = out
         cap = 4 * (series.trunc.max_hl + series.trunc.max_time_deg) + 8
         k = 1
@@ -264,12 +206,7 @@ class DiffOp:
                 raise RuntimeError("exp of operator did not terminate "
                                    "under truncation")
             for m, c in cur.terms.items():
-                tot = terms.get(m)
-                tot = c if tot is None else tot + c
-                if tot.is_zero():
-                    terms.pop(m, None)
-                else:
-                    terms[m] = tot
+                out._accumulate(m, c)
             k += 1
 
     # -- composition / commutators -----------------------------------------
@@ -316,7 +253,7 @@ class DiffOp:
                     if check_p and any(p > p_max for (_c, p), _e
                                        in mults + derivs):
                         continue
-                    out._put((mono, mults, derivs), cf)
+                    out._accumulate((mono, mults, derivs), cf)
         return out
 
     def commutator(self, other):

@@ -14,7 +14,7 @@ exponential prefactor).
 
 sqrt2 normalization: so that equal values collide on equal keys, h2 is kept
 in {0,1}; even powers of sqrt2 are folded into the rational coefficient at
-term-construction time (see Monomial.mul's carry and Series._put).  lambda
+term-construction time (see Monomial.mul's carry and Series.add_term).  lambda
 means sqrtLam^2 and N means sqrtN^2 throughout.
 
 Truncation: a TruncSpec is an explicit box (max sqrtLam power, max total time
@@ -104,12 +104,7 @@ class Monomial:
             raise ValueError("negative sqrtLam power")
         if h2 not in (0, 1):
             raise ValueError("h2 must be normalized to 0 or 1")
-        merged = {}
-        for (c, p), e in times:
-            if c < 1 or p < 0 or e < 1:
-                raise ValueError("bad time entry %r" % (((c, p), e),))
-            merged[(c, p)] = merged.get((c, p), 0) + e
-        _fill(self, hl, hn, h2, zexp, tuple(sorted(merged.items())))
+        _fill(self, hl, hn, h2, zexp, normal_times(times))
 
     @classmethod
     def _trusted(cls, hl, hn, h2, zexp, times):
@@ -173,6 +168,22 @@ class Monomial:
 
 
 _object_new = object.__new__
+
+
+def normal_times(pairs):
+    """The sorted times tuple of the letters ((c, p), e) in pairs, with
+    the exponents of a repeated letter added; a letter needs c >= 1,
+    p >= 0 and e >= 1.
+
+    >>> normal_times([((2, 0), 1), ((1, 3), 2), ((2, 0), 1)])
+    (((1, 3), 2), ((2, 0), 2))
+    """
+    merged = {}
+    for (c, p), e in pairs:
+        if c < 1 or p < 0 or e < 1:
+            raise ValueError("bad time entry %r" % (((c, p), e),))
+        merged[(c, p)] = merged.get((c, p), 0) + e
+    return tuple(sorted(merged.items()))
 
 
 def merge_times(a, b):
@@ -329,14 +340,62 @@ class TruncSpec:
                    self.z_max, self.max_time_weight))
 
 
-class Series:
-    """Truncated sparse series: dict Monomial -> nonzero GaussRat."""
+class _Terms:
+    """A sparse linear combination under a TruncSpec: terms maps each key
+    to its nonzero GaussRat coefficient.  Series (keys: Monomials) and
+    diffops.DiffOp (keys: (mono, mults, derivs)) share this linear
+    structure; each keeps its own ring checks, sums and products."""
 
     __slots__ = ("trunc", "terms")
 
     def __init__(self, trunc):
         self.trunc = trunc
         self.terms = {}
+
+    def _like(self, terms):
+        """The same kind of object on the same ring, holding terms."""
+        out = type(self)(self.trunc)
+        out.terms = terms
+        return out
+
+    def _accumulate(self, key, coeff):
+        """terms[key] += coeff, dropping a zero total."""
+        terms = self.terms
+        cur = terms.get(key)
+        tot = coeff if cur is None else cur + coeff
+        if tot.is_zero():
+            terms.pop(key, None)
+        else:
+            terms[key] = tot
+
+    def copy(self):
+        return self._like(dict(self.terms))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, coeff):
+        coeff = _as_coeff(coeff)
+        if coeff.is_zero():
+            return self._like({})
+        return self._like({k: c * coeff for k, c in self.terms.items()})
+
+
+class Series(_Terms):
+    """Truncated sparse series: dict Monomial -> nonzero GaussRat."""
+
+    __slots__ = ()
 
     # -- construction helpers --------------------------------------------
 
@@ -348,14 +407,8 @@ class Series:
 
     def _put(self, mono, coeff):
         """Accumulate coeff onto mono, silently discarding out-of-box."""
-        if coeff.is_zero() or not self.trunc.admits(mono):
-            return
-        cur = self.terms.get(mono)
-        tot = coeff if cur is None else cur + coeff
-        if tot.is_zero():
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = tot
+        if self.trunc.admits(mono):
+            self._accumulate(mono, coeff)
 
     def add_term(self, coeff, hl=0, hn=0, h2=0, zexp=0, times=()):
         """Add coeff * monomial, folding even sqrt2 powers into coeff."""
@@ -368,9 +421,6 @@ class Series:
 
     # -- queries ----------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def coeff(self, mono):
         """Exact coefficient; raises if the box never tracked this order."""
         self.trunc.require(mono)
@@ -379,14 +429,6 @@ class Series:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0]._key)
 
-    def __eq__(self, other):
-        return isinstance(other, Series) and self.terms == other.terms
-
-    def copy(self):
-        s = Series(self.trunc)
-        s.terms = dict(self.terms)
-        return s
-
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
@@ -394,33 +436,10 @@ class Series:
             return NotImplemented
         s = Series(self.trunc.meet(other.trunc))
         s.terms = dict(self.terms)
-        out = s.terms
         for mono, c in other.terms.items():
-            cur = out.get(mono)
-            tot = c if cur is None else cur + c
-            if tot.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = tot
+            s._accumulate(mono, c)
         if self.trunc is not s.trunc:
             s.terms = {m: c for m, c in s.terms.items() if s.trunc.admits(m)}
-        return s
-
-    def __neg__(self):
-        s = Series(self.trunc)
-        s.terms = {m: -c for m, c in self.terms.items()}
-        return s
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = _as_coeff(coeff)
-        s = Series(self.trunc)
-        if not coeff.is_zero():
-            s.terms = {m: c * coeff for m, c in self.terms.items()}
         return s
 
     # -- multiplicative structure -----------------------------------------
@@ -456,6 +475,7 @@ class Series:
         for m2, c2 in big.items():
             buckets.setdefault(m2.grade(), []).append((m2, c2))
         buckets = sorted(buckets.items())
+        put = out._accumulate
         for m1, c1 in small.items():
             deg1, weight1 = m1.grade()
             hl_cap = trunc.max_hl - m1.hl
@@ -475,25 +495,12 @@ class Series:
                     if admit is not None and not admit(mono):
                         continue
                     c = c1 * c2
-                    if carry != 1:
-                        c = c * carry
-                    cur = out.terms.get(mono)
-                    tot = c if cur is None else cur + c
-                    if tot.is_zero():
-                        out.terms.pop(mono, None)
-                    else:
-                        out.terms[mono] = tot
+                    put(mono, c * carry if carry != 1 else c)
         return out
 
     def __mul__(self, other):
-        if isinstance(other, Series):
-            return self.mul(other)
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__
+        """self.mul(other): the Series product that `*` spells."""
+        return self.mul(other)
 
     def exp_trunc(self):
         """exp of a series nilpotent under the truncation.
@@ -584,9 +591,7 @@ class Series:
 
     def filter(self, pred):
         """Keep only monomials satisfying pred; same truncation."""
-        s = Series(self.trunc)
-        s.terms = {m: c for m, c in self.terms.items() if pred(m)}
-        return s
+        return self._like({m: c for m, c in self.terms.items() if pred(m)})
 
     def eval_N(self, n):
         """Substitute a concrete positive integer for N (= sqrtN^2).

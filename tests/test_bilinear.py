@@ -24,7 +24,7 @@ from melontau.bilinear import (
 )
 from melontau.decomposition import build_Y
 from melontau.diffops import DiffOp
-from melontau.series import Monomial, Series, TruncSpec
+from melontau.series import Monomial, Series, TruncSpec, WindowError
 
 
 # -- operator-level identities --------------------------------------------
@@ -193,6 +193,19 @@ def test_colour_budget_filters_lose_nothing():
     fb = fb.filter(lambda m: m.zexp >= lo)
     assert not fa.is_zero()
     assert (fa - fb).is_zero()
+
+
+def test_vertex_refuses_a_factor_on_the_z_boundary():
+    # e^{aA} carries 1 to z t[1,1], inside the window (-2, 2); after a
+    # charge z^1, which shift_z accepts, it lands on z_max and the final
+    # guard must refuse it
+    ring = TruncSpec(0, 1, 1, (-2, 2))
+    one = Series.one(ring)
+    inside = bilinear._vertex(one, +1, 1, 1, ring)
+    assert max(m.zexp for m in inside.terms) == 1
+    assert one.shift_z(1).terms
+    with pytest.raises(WindowError, match="bilinear factor touches"):
+        bilinear._vertex(one, +1, 1, 1, ring, charge=1)
 
 
 def _B_at(c, ring, nsize):

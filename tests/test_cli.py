@@ -65,6 +65,24 @@ def test_verify_hirota_small(capsys):
     assert all(r["passed"] for r in reps)
 
 
+def test_verify_grading_ribbon_graphs(capsys):
+    code, out, _ = run_cli(capsys, "verify", "grading", "--D", "2")
+    assert code == 0
+    rep = json.loads(out.strip())
+    assert rep["name"] == "tensor-grading" and rep["params"]["D"] == 2
+    assert rep["passed"]
+
+
+def test_verify_grading_ribbon_graphs_refuse_an_odd_exponent(capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(decomposition, "tensor_free_energy_exponents",
+                        lambda D, order: {1: [2], 2: [1, 2]})
+    code, failed = _failures(capsys, "verify", "grading", "--D", "2")
+    assert code == 1
+    assert failed == {"tensor-grading":
+                      "free-energy N-exponents {1: [2], 2: [1, 2]}"}
+
+
 def test_threads_flag_rejected():
     # the flag never did anything and is gone: argparse refuses it
     with pytest.raises(SystemExit) as exc:

@@ -6,13 +6,14 @@ import pytest
 from melontau import onematrix
 from melontau.diffops import DiffOp
 from melontau.series import Monomial, Series, TruncSpec
-from melontau.wick import NPoly
+from melontau.wick import NPoly, hermitian_moment
 from melontau.onematrix import (charpoly_expectation, deformed_onedim_moment,
                                 free_energy_quartic, hankel_chain_residuals,
                                 hankel_z, kernel_norm, onedim_gaussian_moment,
                                 orthogonality_residual, orthopoly_det,
                                 planar_two_point,
-                                virasoro_op, virasoro_residual, z1mm_series)
+                                virasoro_op, virasoro_residual, z1mm_hankel,
+                                z1mm_series)
 
 
 T = TruncSpec(0, 3, 4)
@@ -191,3 +192,14 @@ def test_gaussian_norm_ratios():
         for n in (1, 2, 3):
             kn = kernel_norm(n, nweight, 0)[0]
             assert kn / k0 == Fraction(factorial(n), nweight ** n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: z1mm_hankel(T, 1, 0), "size must be >= 1"),
+    (lambda: virasoro_op(-2, T), "n >= -1"),
+    (lambda: hermitian_moment([-1]), "negative trace power"),
+    (lambda: Series.one(T).eval_N(0), "N must be a positive integer"),
+], ids=["z1mm_hankel", "virasoro_op", "hermitian_moment", "eval_N"])
+def test_input_guards_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
