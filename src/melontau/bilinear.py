@@ -51,7 +51,7 @@ most D, and the number of applications that can fire is bounded by the
 non-active-colour letters of the input monomial).  Many basis monomials
 share a ring, so a run over the basis builds Y and [A, Y] once per
 distinct ring and keeps them only for that run.  The charge factor is a
-pure z-power and commutes with Y; it is checked separately and left out of
+pure z-power and commutes with Y by construction, so it is left out of
 the sandwich.
 
 The deformed bilinear applies the dressed operators to e^{Y} prod_c Z^{(c)}
@@ -172,16 +172,6 @@ def dressing_op_residuals(D):
         "closed_form_matches": AY - closed_form_AY(D, c, trunc, colours),
         "Y_commutes_with_AY": (DiffOp(big) + Y).commutator(DiffOp(big) + AY),
     }
-
-
-def charge_commutes_with_Y(D, nsize=2):
-    """[z^{-N}, Y] = 0, for |q| <= 3: the charge factor passes through
-    e^{Y} freely."""
-    max_q = 3
-    win = nsize + max_q + 2
-    trunc = TruncSpec(max_q, 0, max_q, (-win, win))
-    charge = DiffOp(trunc).add_term(1, Monomial(zexp=-nsize))
-    return charge.commutator(build_Y(D, trunc))
 
 
 # -- the vertex-factor pipeline --------------------------------------------

@@ -120,16 +120,20 @@ def trace_expectation(series):
 
 
 def intermediate_field_z(D, order):
-    """Route 2: multinomial expansion of the sigma determinant exponent."""
+    """Route 2: multinomial expansion of the sigma determinant exponent,
+    exponentiated as a multiplication operator."""
     hl_max = 2 * order
     trunc = TruncSpec(hl_max, D * hl_max, hl_max, max_time_weight=hl_max)
-    expo = Series(trunc)
+    expo = DiffOp(trunc)
     for q, total, count in _colour_multisets(D, hl_max):
-        times = tuple(((c + 1, qc), 1) for c, qc in enumerate(q) if qc)
-        expo.add_term(minus_i_pow(total) * GaussRat(Fraction(count, total)),
-                      hl=total, hn=-(D - 2) * total + 2 * q.count(0),
-                      h2=-total, times=times)
-    return trace_expectation(expo.exp_trunc()).restrict(
+        h2, mult = fold_h2(-total)
+        expo.add_term(minus_i_pow(total) * GaussRat(Fraction(count, total)
+                                                    * mult),
+                      Monomial(hl=total, hn=-(D - 2) * total + 2 * q.count(0),
+                               h2=h2),
+                      mults=tuple(((c + 1, qc), 1)
+                                  for c, qc in enumerate(q) if qc))
+    return trace_expectation(expo.apply_exp(Series.one(trunc))).restrict(
         TruncSpec(hl_max, 0, 0))
 
 

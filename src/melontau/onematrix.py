@@ -187,7 +187,7 @@ def virasoro_op(n, trunc):
     return op
 
 
-def virasoro_residual(n, p_ext=4, deg=3, engine="auto"):
+def virasoro_residual(n, p_ext=4, deg=3):
     """L_n Z restricted to the box (indices <= p_ext, degree <= deg).
 
     The inner ring retains indices up to p_ext + n + 2, degree deg + 2 and
@@ -196,13 +196,13 @@ def virasoro_residual(n, p_ext=4, deg=3, engine="auto"):
     is therefore exact, and the check passes iff it is the zero series.
     L_n is applied straight onto the box (DiffOp.apply's box), so only the
     box coefficients are computed, never the rest of L_n Z on the inner
-    ring.  engine is passed on to z1mm_series and hermitian_moment.
+    ring.
     """
     p_int = p_ext + max(n, 0) + 2
     w_int = p_ext * deg + max(n, 0) + 2
     inner = TruncSpec(0, deg + 2, p_int, max_time_weight=w_int)
-    # engine passed by keyword: bench/digests.json keys on this call shape
-    z = z1mm_series(inner, engine=engine)
+    # engine="auto" spelled out: bench/digests.json keys on this call shape
+    z = z1mm_series(inner, engine="auto")
     return virasoro_op(n, inner).apply(z, box=TruncSpec(0, deg, p_ext))
 
 

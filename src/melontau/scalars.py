@@ -62,9 +62,6 @@ class GaussRat:
     def is_one(self):
         return self._a == 1 and not self._b and self._d == 1
 
-    def is_real(self):
-        return not self._b
-
     # -- arithmetic -------------------------------------------------------
     # Operands are a GaussRat, an int or a Fraction; anything else gets
     # NotImplemented.  A Fraction n/f is the triple (n, 0, f).
@@ -141,23 +138,6 @@ class GaussRat:
             return GaussRat(other) / self
         return NotImplemented
 
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("integer powers only")
-        if n < 0:
-            return GaussRat(1) / self ** (-n)
-        out = GaussRat(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def conj(self):
-        return _new(self._a, -self._b, self._d)
-
     # -- hashing / display ------------------------------------------------
 
     def __eq__(self, other):
@@ -212,9 +192,6 @@ def _reduced(a, b, d):
         b //= g
         d //= g
     return _new(a, b, d)
-
-
-I = GaussRat(0, 1)
 
 
 def minus_i_pow(n):

@@ -56,10 +56,6 @@ class OutsideTruncationError(Exception):
     """A coefficient was requested outside the series' truncation box."""
 
 
-class NilpotencyError(ValueError):
-    """exp_trunc was handed a series that is not nilpotent under truncation."""
-
-
 class WindowError(Exception):
     """A z shift or residue ran into the edge of the z window."""
 
@@ -502,34 +498,6 @@ class Series(_Terms):
         """self.mul(other): the Series product that `*` spells."""
         return self.mul(other)
 
-    def exp_trunc(self):
-        """exp of a series nilpotent under the truncation.
-
-        Every term must raise sqrtLam degree or time degree; otherwise powers
-        never leave the box and the exponential is not a polynomial there.
-
-        >>> t = TruncSpec(2, 2, 4)
-        >>> s = Series.one(t)              # constant terms are not nilpotent
-        >>> s.exp_trunc()
-        Traceback (most recent call last):
-        ...
-        melontau.series.NilpotencyError: non-nilpotent term 1 in exp_trunc
-        """
-        for mono in self.terms:
-            if mono.hl == 0 and mono.time_degree() == 0:
-                raise NilpotencyError("non-nilpotent term %s in exp_trunc"
-                                      % (mono,))
-        out = Series.one(self.trunc)
-        power = Series.one(self.trunc)
-        kfact = 1
-        for k in range(1, self.trunc.max_hl + self.trunc.max_time_deg + 1):
-            power = power.mul(self)
-            if power.is_zero():
-                break
-            kfact *= k
-            out = out + power.scale(GaussRat(Fraction(1, kfact)))
-        return out
-
     # -- calculus in the times --------------------------------------------
 
     def derive(self, c, p):
@@ -616,9 +584,9 @@ class Series(_Terms):
         """Canonical text form, one term per line.
 
         The coefficient field is num_re/den_re/num_im/den_im (four integers);
-        factor fields follow in fixed order sqrtLam, sqrtN, sqrt2, z, then
-        times sorted by (c, p), each as t[c,p]^e.  Zero-exponent factors are
-        omitted; the unit monomial prints as the bare coefficient.
+        the factor fields that follow are str(Monomial): sqrtLam, sqrtN,
+        sqrt2, z, then times sorted by (c, p), each as t[c,p]^e.  The unit
+        monomial prints as the bare coefficient.
 
         >>> t = TruncSpec(2, 2, 4)
         >>> s = Series(t).add_term(Fraction(-3, 4), hl=2, hn=-2,
@@ -628,19 +596,9 @@ class Series(_Terms):
         """
         lines = []
         for mono, c in self.sorted_terms():
-            f = ["%d/%d/%d/%d" % (c.re.numerator, c.re.denominator,
-                                  c.im.numerator, c.im.denominator)]
-            if mono.hl:
-                f.append("sqrtLam^%d" % mono.hl)
-            if mono.hn:
-                f.append("sqrtN^%d" % mono.hn)
-            if mono.h2:
-                f.append("sqrt2^%d" % mono.h2)
-            if mono.zexp:
-                f.append("z^%d" % mono.zexp)
-            for (c_, p), e in mono.times:
-                f.append("t[%d,%d]^%d" % (c_, p, e))
-            lines.append(" * ".join(f))
+            f = "%d/%d/%d/%d" % (c.re.numerator, c.re.denominator,
+                                 c.im.numerator, c.im.denominator)
+            lines.append(f if mono.is_one() else f + " * " + str(mono))
         return "\n".join(lines)
 
     def __str__(self):

@@ -230,7 +230,8 @@ def _moment_core(word):
 def hermitian_moment(word, engine="auto"):
     """< prod_i Tr M^{p_i} > as an exact Laurent polynomial in N.
 
-    word is any iterable of trace powers p_i >= 0 (Tr M^0 contributes N).
+    word is any iterable of int trace powers p_i >= 0 (Tr M^0 contributes
+    N); any other power is refused.
     engine "auto" (the memoized recursion, the production engine) and
     "pairing" (the unmemoized reference) give the same NPoly.
 
@@ -243,9 +244,13 @@ def hermitian_moment(word, engine="auto"):
     >>> hermitian_moment([3])
     NPoly(0)
     """
-    word = tuple(sorted(int(p) for p in word))
-    if any(p < 0 for p in word):
-        raise ValueError("negative trace power")
+    word = tuple(word)
+    for p in word:
+        if not isinstance(p, int):
+            raise ValueError("trace power must be an int, got %r" % (p,))
+        if p < 0:
+            raise ValueError("negative trace power")
+    word = tuple(sorted(word))
     if engine == "auto":
         return NPoly(_moment_recursion(word))
     if engine != "pairing":

@@ -12,7 +12,6 @@ from melontau.bilinear import (
     build_A,
     build_B,
     calibrate_conventions,
-    charge_commutes_with_Y,
     closed_form_AY,
     conjugation_sandwich_residual,
     hirota_factor,
@@ -22,8 +21,11 @@ from melontau.bilinear import (
     tensor_reduction_residual,
     tensor_vertex_factor,
 )
-from melontau.decomposition import build_Y
+from melontau import decomposition
+from melontau.decomposition import (build_Y, direct_tensor_z, eY_applied_z,
+                                    intermediate_field_z)
 from melontau.diffops import DiffOp
+from melontau.scalars import GaussRat, minus_i_pow
 from melontau.series import Monomial, Series, TruncSpec, WindowError
 
 
@@ -35,11 +37,6 @@ def test_dressing_operator_identities(D):
     res = dressing_op_residuals(D)
     for name, op in res.items():
         assert op.is_zero(), name
-
-
-def test_charge_factor_commutes_with_Y():
-    assert charge_commutes_with_Y(3, nsize=2).is_zero()
-    assert charge_commutes_with_Y(2, nsize=1).is_zero()
 
 
 def test_closed_form_scale_mismatch_detected():
@@ -108,8 +105,10 @@ def test_hirota_degree_one():
 
 
 def test_hirota_degree_two():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         assert hirota_residual(n, d_ext=2, p_ext=3).is_zero()
+    # negative control at the largest size: the naive a-scale fails
+    assert len(hirota_residual(3, d_ext=2, p_ext=3, a_scale="1").terms) == 20
 
 
 def test_factor_is_not_trivial():
@@ -170,6 +169,8 @@ def test_middle_factor_is_load_bearing():
 @pytest.mark.parametrize("D,K,nsize,kwargs", [
     (3, 1, 2, {}),
     (2, 1, 1, dict(d_ext=2, p_ext=2)),
+    pytest.param(2, 2, 1, {}, marks=pytest.mark.slow),
+    pytest.param(4, 1, 2, {}, marks=pytest.mark.slow),
 ])
 def test_deformed_bilinear_larger_sizes(D, K, nsize, kwargs):
     assert tensor_bilinear_residual(D, K, nsize, **kwargs).is_zero()
@@ -447,3 +448,63 @@ def test_sandwich_ring_is_large_enough(monkeypatch, D):
     monkeypatch.setattr(bilinear, "_sandwich_ring", lowered)
     assert any(not conjugation_sandwich_residual(m, D).is_zero()
                for m in mons)
+
+
+# -- the Q(i) grading -------------------------------------------------------
+#
+# The only i in the package is minus_i_pow(|q|), paired with sqrtLam^{|q|}:
+# every coefficient c of a term with sqrtLam power hl is r (-i)^hl with r
+# rational, that is, c * minus_i_pow(-hl) is real.
+
+
+def _ungraded(terms):
+    """The terms of a Series or a DiffOp (keys (mono, mults, derivs)) whose
+    coefficient is not a rational multiple of (-i)^hl."""
+    return [(key, c) for key, c in terms.items()
+            if (c * minus_i_pow(-(key if isinstance(key, Monomial)
+                                  else key[0]).hl)).im]
+
+
+_GRADED = (
+    [pytest.param(lambda D=D: build_Y(D, TruncSpec(4, 0, 4)),
+                  id="build_Y-D%d" % D) for D in (2, 3, 4)]
+    + [pytest.param(lambda: closed_form_AY(3, 1, TruncSpec(4, 0, 4, (-10, 10))),
+                    id="closed_form_AY")]
+    + [pytest.param(lambda args=args: tensor_vertex_factor(*args),
+                    id="vertex_factor%r" % (args,))
+       for args in ((+1, 2, 1, 1), (-1, 2, 1, 1), (+1, 3, 1, 2))]
+    + [pytest.param(lambda route=route, D=D, K=K: route(D, K),
+                    id="%s-D%d-K%d" % (route.__name__, D, K))
+       for route in (direct_tensor_z, intermediate_field_z, eY_applied_z)
+       for D in (2, 3) for K in (1, 2)])
+
+
+@pytest.mark.parametrize("build", _GRADED)
+def test_coefficients_are_graded_by_sqrtLam(build):
+    terms = build().terms
+    assert terms
+    assert not _ungraded(terms)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_sandwich_is_graded_by_sqrtLam(monkeypatch, D):
+    # every e^{...} series of the sandwich, its lhs e^{Y} V e^{-Y} (m) among
+    # them, over the basis monomials of degree <= 2 and indices <= 1
+    seen = []
+    apply_exp = DiffOp.apply_exp
+
+    def recorded(self, *args, **kwargs):
+        seen.append(apply_exp(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(DiffOp, "apply_exp", recorded)
+    for mono in basis_monomials(D, 2, 1):
+        conjugation_sandwich_residual(mono, D)
+    assert any(s.terms for s in seen)
+    for s in seen:
+        assert not _ungraded(s.terms)
+
+
+def test_grading_check_sees_a_Y_without_its_phases(monkeypatch):
+    monkeypatch.setattr(decomposition, "minus_i_pow", lambda n: GaussRat(1))
+    assert _ungraded(build_Y(2, TruncSpec(4, 0, 4)).terms)

@@ -87,9 +87,17 @@ def test_virasoro_small_box(n):
     assert virasoro_residual(n, p_ext=2, deg=2).is_zero()
 
 
-def test_virasoro_full_enumeration_instance():
+def test_virasoro_full_enumeration_instance(monkeypatch):
     # same constraint with every moment from explicit pairing enumeration
-    assert virasoro_residual(2, p_ext=2, deg=2, engine="pairing").is_zero()
+    calls = []
+
+    def pairing(word, engine="auto"):
+        calls.append(word)
+        return hermitian_moment(word, engine="pairing")
+
+    monkeypatch.setattr(onematrix, "hermitian_moment", pairing)
+    assert virasoro_residual(2, p_ext=2, deg=2).is_zero()
+    assert calls
 
 
 def _virasoro_groups(n, ring):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from melontau.scalars import GaussRat
-from melontau.series import (Monomial, NilpotencyError, OutsideTruncationError,
-                             Series, TruncSpec, USeries, WindowError,
-                             letter_products, parse_series)
+from melontau.diffops import DiffOp
+from melontau.series import (Monomial, OutsideTruncationError, Series,
+                             TruncSpec, USeries, WindowError, letter_products,
+                             parse_series)
 from melontau.wick import NPoly
 
 
@@ -226,32 +227,26 @@ def test_time_weight_cut():
 
 
 def test_exp_of_commuting_sum():
-    s1 = Series(T).add_term(Fraction(1, 3), hl=1, times=(((1, 2), 1),))
-    s2 = Series(T).add_term(Fraction(-1, 2), times=(((2, 1), 2),))
-    e = (s1 + s2).exp_trunc()
+    # exponentials of multiplication operators
+    a1 = DiffOp(T).add_term(Fraction(1, 3), Monomial(hl=1),
+                            mults=(((1, 2), 1),))
+    a2 = DiffOp(T).add_term(Fraction(-1, 2), mults=(((2, 1), 2),))
+    e = (a1 + a2).apply_exp(s_one())
     assert e.coeff(Monomial()) == GaussRat(1)
-    assert e == s1.exp_trunc().mul(s2.exp_trunc())
-
-
-def test_exp_nilpotency_guard():
-    with pytest.raises(NilpotencyError):
-        Series(T).add_term(1, hn=2).exp_trunc()
-    with pytest.raises(NilpotencyError):
-        Series(T).add_term(1, zexp=1).exp_trunc()
-    # hl >= 1 or time degree >= 1 is fine even with z/N factors attached
-    Series(T).add_term(1, hl=1, hn=4, zexp=2).exp_trunc()
+    assert e == a1.apply_exp(s_one()).mul(a2.apply_exp(s_one()))
+    assert e == a1.apply_exp(a2.apply_exp(s_one()))
 
 
 def test_exp_matches_closed_form():
     # exp(a*t) coefficients a^k/k!
     a = Fraction(3, 2)
     t = TruncSpec(0, 5, 1)
-    e = Series(t).add_term(a, times=(((1, 1), 1),)).exp_trunc()
+    op = DiffOp(t).add_term(a, mults=(((1, 1), 1),))
+    e = op.apply_exp(Series.one(t))
     for k in range(6):
         times = (((1, 1), k),) if k else ()
-        expect = GaussRat(a ** k) / GaussRat(
-            __import__("math").factorial(k))
-        assert e.coeff(Monomial(times=times)) == expect
+        assert e.coeff(Monomial(times=times)) == GaussRat(a ** k) / factorial(k)
+    assert len(e.terms) == 6
 
 
 def test_derive():

@@ -106,6 +106,12 @@ def test_trace_zero_inserts_N():
     assert hermitian_moment([0, 0]) == NPoly({2: 1})
 
 
+@pytest.mark.parametrize("word", [[2.7], ["2"], [2, 2.0], [Fraction(2)]])
+def test_moment_refuses_a_power_that_is_not_an_int(word):
+    with pytest.raises(ValueError):
+        hermitian_moment(word)
+
+
 # -- tensor moments --------------------------------------------------------
 
 
