@@ -54,17 +54,20 @@ distinct ring and keeps them only for that run.  The charge factor is a
 pure z-power and commutes with Y by construction, so it is left out of
 the sandwich.
 
-The deformed bilinear applies the dressed operators to e^{Y} prod_c Z^{(c)}
-with all times alive and takes the same boxed residue.
+The deformed bilinear takes the same residue of the dressed operators on
+e^{Y} prod_c Z^{(c)} (all times alive), shifting first as [B^c, Y] = 0.
 
 One pipeline
 ------------
 Every factor above (the equal-size V_+-, the dressed tensor vertex, the
 undeformed factor of the K = 0 reduction and both sides of the sandwich)
-runs one chain, _vertex: e^{-+B}, the optional middle factor e^{-+[A,Y]},
-the charge z^{-+N}, restriction to the output box, then e^{+-aA} on that
-box.  A caller only picks the ring (_hirota_ring, _tensor_ring), the
-output box, N (symbolic or concrete) and the middle factor.
+runs one chain: e^{-+B} (_vertex), then the optional middle factor
+e^{-+[A,Y]}, the charge z^{-+N}, restriction to the output box and e^{+-aA}
+on that box (_vertex_tail).  A caller only picks the ring, the output box,
+N (symbolic or concrete) and the middle factor.  The dressed factor shifts
+before the product and e^{Y}, with the same result: the ring clipped the
+product before the shift, so each (degree, weight) slice of the active
+series meets only the spectator terms that fit beside it in the ring.
 
 Both exponentials are applied in closed form.  e^{-+B} is the Miwa shift
 t[c,n] -> t[c,n] -+ z^{-n}/(nN), box-pruned: each input term is expanded
@@ -76,18 +79,18 @@ and A only raises them, so a term that leaves the ring never comes back:
 one truncation at the end equals truncating every iterate of the
 operator, as apply_exp does.
 
-Every stage from e^{Y} to the output box is a pure derivative (Y, B and
-[A, Y] have no multiplication part), so a term only loses letters on its
-way there.  _reach turns this into the admit predicate that the product
-of the one-matrix series, e^{Y}, the Miwa shift and the middle factor
-check on the terms they form: B strips active letters of index >= 1 for
-free, a Y or middle application strips one letter of each colour it acts
-on for sqrtLam >= max(1, stripped index sum), and what no stage left can
-strip must already fit the box.  It reads degree, indices and sqrtLam,
-never z, so it drops only terms the restriction would drop later: every
-factor is unchanged term by term, deep z included.  The colour-budget
-prefilter on the one-matrix series is a different cut, a z-counting
-bound (sum beta <= P) that is exact for the residue only.  The
+Past the one-matrix series, every stage to the output box is a product,
+which only adds letters, or a pure derivative (Y, B and [A, Y]), which
+only takes them off.  _reach turns this into the admit predicate that the
+products of the one-matrix series, e^{Y}, the Miwa shift and the middle
+factor check on the terms they form: B strips active letters of index
+>= 1 for free, a Y or middle application strips one letter of each colour
+it acts on for sqrtLam >= max(1, stripped index sum), and what no stage
+left can strip must already fit the box.  It reads degree, indices and
+sqrtLam, never z, so it drops only terms the restriction would drop later:
+every factor is unchanged term by term, deep z included.  The
+colour-budget prefilter on the one-matrix series is a different cut, a
+z-counting bound (sum beta <= P) that is exact for the residue only.  The
 sandwich's box is its ring, so nothing is pruned there.
 
 Only the residue is box-exact, not each factor: a factor's deep-z terms
@@ -197,6 +200,8 @@ def _reach(box, c, stages):
     False
     >>> _reach(box, 1, "M")(0, (((2, 3), 1),))      # cost 3 > max_hl
     False
+    >>> _reach(TruncSpec(4, 1, 2), 1, "Y")(0, (((1, 3), 1), ((2, 0), 1)))
+    True
     """
     strip = "Y" in stages or "M" in stages
     strip_c = "Y" in stages
@@ -208,12 +213,11 @@ def _reach(box, c, stages):
         cost = 0                            # index sum only they can strip
         counts = {}
         for (cc, p), e in times:
-            if cc == c:
-                if b_left and p:
-                    continue
-                if p > p_box:
+            if cc == c and b_left and p:
+                continue
+            if p > p_box:
+                if cc == c and not strip_c:
                     return False
-            elif p > p_box:
                 cost += p * e
             counts[cc] = counts.get(cc, 0) + e
         if cost > k:
@@ -236,10 +240,11 @@ def _miwa_shift(s, lam, c, nsize, box, admit_in=None, admit_out=None):
 
     Each input term is expanded once: a letter t[c,p]^e keeps r of its e
     copies, and the k = e - r stripped ones contribute
-    C(e, k) (lam/(pN))^k z^{-pk}.  No later stage of the chain strips
-    colour c, so the choices that keep a letter of index > box.p_max or
-    more than box.max_time_deg colour-c letters, or that take z below the
-    window, are never enumerated.  admit_in filters the input terms and
+    C(e, k) (lam/(pN))^k z^{-pk}.  Choices that take z below the window
+    are never enumerated, nor those that keep a letter of index > box.p_max
+    or more than box.max_time_deg colour-c letters: box must be one that no
+    later stage can strip colour c down into (the dressed factor, whose
+    e^{Y} follows, passes its ring).  admit_in filters the input terms and
     admit_out the results, as admit(hl, times).
 
     >>> ring = TruncSpec(0, 2, 2, (-4, 4))
@@ -318,24 +323,24 @@ def _vertex(s, sign, c, nsize, box, a_val=1, middle=None, charge=0):
     """e^{sign a A^c} restrict_box z^charge e^{-sign middle} e^{-sign B} s.
 
     The one vertex chain behind every bilinear factor, applied rightmost
-    first in the ring of s, with B^c at size nsize (None: symbolic N).
-    middle (the dressing [A^c, Y]) and the charge are optional.  e^{-+B}
-    is the Miwa shift (_miwa_shift) and e^{+-aA} one product with
-    _exp_A on box.  The shift and the middle factor drop, as they go, the
-    terms _reach proves cannot land in the output box, which is then
-    restricted to; both steps are skipped when box is the ring itself.
-    Raises WindowError when a term of the result sits on the z boundary:
-    clipped partners could then have cancelled it.
-    """
-    whole = box == s.trunc
-
-    def reach(stages):
-        return None if whole else _reach(box, c, stages)
-
+    first in the ring of s, with B^c at size nsize (None: symbolic N):
+    the Miwa shift (_miwa_shift), then _vertex_tail.  middle (the
+    dressing [A^c, Y]) and the charge are optional."""
     mid = "" if middle is None else "M"
-    u = _miwa_shift(s, -sign, c, nsize, box, reach("B" + mid), reach(mid))
+    reach = ((None, None) if box == s.trunc
+             else (_reach(box, c, "B" + mid), _reach(box, c, mid)))
+    u = _miwa_shift(s, -sign, c, nsize, box, *reach)
+    return _vertex_tail(u, sign, c, box, a_val, middle, charge)
+
+
+def _vertex_tail(u, sign, c, box, a_val, middle, charge):
+    """The chain after e^{-+B}: e^{-+middle} (pruned by _reach unless box
+    is the ring of u), z^charge, restriction to box and e^{+-aA} (_exp_A).
+    Raises WindowError if a result term sits on the z boundary, which
+    clipped partners could have cancelled."""
+    whole = box == u.trunc
     if middle is not None:
-        u = middle.apply_exp(u, -sign, reach("M"))
+        u = middle.apply_exp(u, -sign, None if whole else _reach(box, c, "M"))
     if charge:
         u = u.shift_z(charge)
     if not whole:
@@ -538,10 +543,10 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
     ring = _tensor_ring(D, K, nsize, d_ext, p_ext)
     P = ring.p_max
     a_val = nsize if a_scale == "N" else 1
-
     box = _out_box(ring, d_ext, p_ext)
-    reach = _reach(box, c_act, "YBM" if with_middle else "YB")
-    prod = Series.one(ring)
+    mid = "M" if with_middle else ""
+    reach_in, reach = (_reach(box, c_act, st + mid) for st in ("YB", "Y"))
+    spect = Series.one(ring)
     for cc in colours:
         zc = z1mm_series(ring, colour=cc, nsize=nsize)
         if prefilter:
@@ -552,12 +557,27 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
                                (ring.z_min, ring.z_max),
                                max_time_weight=extra + 2 * K + d_ext * p_ext)
             zc = zc.filter(budget.admits)
-        # more letters never help a term into the box: cut partial products
-        prod = prod.mul(zc, admit=lambda m: reach(m.hl, m.times))
+        if cc == c_act:
+            active = zc
+        else:   # more letters never help a term into the box: cut products
+            spect = spect.mul(zc, admit=lambda m: reach_in(m.hl, m.times))
+    # [B, Y] = 0: e^{-+B} shifts the active series before any product; the
+    # ring clipped that product before the shift: replay the clip per slice
+    slices = {}
+    for m, cf in active.terms.items():
+        slices.setdefault(m.grade(), Series(ring)).terms[m] = cf
+    prod = Series(ring)
+    for (d, w), piece in slices.items():
+        room = TruncSpec(ring.max_hl, ring.max_time_deg - d, P,
+                         (ring.z_min, ring.z_max),
+                         max_time_weight=ring.max_time_weight - w)
+        u = _miwa_shift(piece, -sign, c_act, nsize, ring, reach_in, reach)
+        prod = prod + u.mul(spect.filter(room.admits),
+                            admit=lambda m: reach(m.hl, m.times))
     s = build_Y(D, ring, colours).apply_exp(prod, admit=reach)
-    mid = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
-           if with_middle else None)
-    return _vertex(s, sign, c_act, nsize, box, a_val, mid, -sign * nsize)
+    middle = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
+              if with_middle else None)
+    return _vertex_tail(s, sign, c_act, box, a_val, middle, -sign * nsize)
 
 
 def tensor_bilinear_residual(D, K, nsize, d_ext=1, p_ext=2, a_scale="N",

@@ -25,6 +25,7 @@ from melontau import decomposition
 from melontau.decomposition import (build_Y, direct_tensor_z, eY_applied_z,
                                     intermediate_field_z)
 from melontau.diffops import DiffOp
+from melontau.onematrix import z1mm_series
 from melontau.scalars import GaussRat, minus_i_pow
 from melontau.series import Monomial, Series, TruncSpec, WindowError
 
@@ -233,6 +234,40 @@ def _operator_vertex(s, sign, c, nsize, box, a_val=1, middle=None, charge=0):
     return build_A(c, box, scale=sign * a_val).apply_exp(u.restrict(box))
 
 
+def _product_first(sign, D, K, nsize, c=1, d_ext=1, p_ext=2, a_scale="N",
+                   prefilter=True, with_middle=True, pruned=False):
+    """tensor_vertex_factor in the operator order: the prefiltered
+    one-matrix series multiplied out, e^{Y} on the product, then the
+    whole vertex chain.  Unpruned, the chain is _operator_vertex; pruned,
+    the product and e^{Y} drop what _reach refuses and the chain is
+    bilinear._vertex."""
+    offset = 0 if sign > 0 else D
+    colours = tuple(offset + cc for cc in range(1, D + 1))
+    c_act = offset + c
+    ring = bilinear._tensor_ring(D, K, nsize, d_ext, p_ext)
+    box = bilinear._out_box(ring, d_ext, p_ext)
+    a_val = nsize if a_scale == "N" else 1
+    if pruned:
+        reach = bilinear._reach(box, c_act, "YBM" if with_middle else "YB")
+    else:
+        reach = lambda hl, times: True
+    prod = Series.one(ring)
+    for cc in colours:
+        zc = z1mm_series(ring, colour=cc, nsize=nsize)
+        if prefilter:
+            extra = ring.p_max if cc == c_act else 0
+            budget = TruncSpec(ring.max_hl, extra + 2 * K + d_ext, ring.p_max,
+                               (ring.z_min, ring.z_max),
+                               max_time_weight=extra + 2 * K + d_ext * p_ext)
+            zc = zc.filter(budget.admits)
+        prod = prod.mul(zc, admit=lambda m: reach(m.hl, m.times))
+    s = build_Y(D, ring, colours).apply_exp(prod, admit=reach)
+    mid = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)
+           if with_middle else None)
+    vertex = bilinear._vertex if pruned else _operator_vertex
+    return vertex(s, sign, c_act, nsize, box, a_val, mid, -sign * nsize)
+
+
 def _factor_case(fn, *args, **kwargs):
     tag = "-".join(map(str, args + tuple("%s=%s" % kv
                                          for kv in sorted(kwargs.items()))))
@@ -246,7 +281,14 @@ def _factor_case(fn, *args, **kwargs):
 ] + [
     # degree 2; at p_ext = 2 the unpruned reference alone takes ~45 s on
     # a 2-core x86 host
-    _factor_case("tensor_vertex_factor", -1, 2, 1, 1, d_ext=2, p_ext=1),
+    _factor_case("tensor_vertex_factor", sign, 2, 1, 1, d_ext=2, p_ext=1)
+    for sign in (1, -1)
+] + [
+    # the ring clip of the product, replayed per slice of the active series
+    _factor_case("tensor_vertex_factor", 1, 2, 0, 1, prefilter=False),
+] + [
+    _factor_case("tensor_vertex_factor", sign, 3, 1, 1, p_ext=1)
+    for sign in (1, -1)
 ] + [
     _factor_case("hirota_factor", sign, c, n, d, p)
     for sign, c in ((1, 1), (-1, 2)) for n in (1, 2)
@@ -255,7 +297,8 @@ def _factor_case(fn, *args, **kwargs):
 def test_vertex_pruning_is_exact(monkeypatch, fn, args, kwargs):
     # _reach and the Miwa shift's bounds only drop terms that cannot reach
     # the output box, so the whole factor, deep z included, is the one the
-    # unpruned operator chain computes
+    # unpruned operator chain computes; for the dressed factor that chain
+    # runs in the operator order, e^{Y} before e^{-+B}
     factor = getattr(bilinear, fn)
     reach = bilinear._reach
     dropped = []
@@ -273,9 +316,22 @@ def test_vertex_pruning_is_exact(monkeypatch, fn, args, kwargs):
     monkeypatch.setattr(bilinear, "_reach", counting)
     pruned = factor(*args, **kwargs).serialize()
     assert pruned and dropped
+    if fn == "tensor_vertex_factor":
+        assert _product_first(*args, **kwargs).serialize() == pruned
+        return
     monkeypatch.setattr(bilinear, "_reach", lambda *a: lambda hl, times: True)
     monkeypatch.setattr(bilinear, "_vertex", _operator_vertex)
     assert factor(*args, **kwargs).serialize() == pruned
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shift_first_matches_the_operator_order_at_K2(sign):
+    # the unpruned reference takes ~25 s here, so the operator order runs
+    # pruned as well: the product and e^{Y} before e^{-+B}
+    got = tensor_vertex_factor(sign, 2, 2, 1, p_ext=1)
+    want = _product_first(sign, 2, 2, 1, p_ext=1, pruned=True)
+    assert got.serialize() == want.serialize()
 
 
 # -- the closed forms of e^{-+B} and e^{+-aA} against the operators --------
