@@ -17,8 +17,10 @@ sensitive to: because the model couples times as exp(-N sum t_p Tr M^p), the
 measure-conversion step of the orthogonality argument needs a = N, not the
 naive a = 1 (which happens to survive at N = 1 and at all times = 0 — both
 blind spots).  calibrate_conventions scans {a in {1, N}} x {charge on V_+ or
-V_-} and keeps what vanishes through joint degree 1; the frozen result is
-a = N with charge z^{-N} on V_+.
+V_-} and keeps what vanishes through joint degree 1.  It pins a = N only:
+at equal sizes z^{-N} z^{+N} = 1, so both charge assignments survive, and
+only a cross-size identity (sizes a != b) can tell them apart; the charge
+z^{-N} sits on V_+ by convention.
 
 The equal-size bilinear check computes
 
@@ -147,7 +149,7 @@ def closed_form_AY(D, c, trunc, colours=None, scale=1):
         # strip the colour-c one and attach z^{q_c} and the minus sign
         (q_c,) = [p for (cc, p), _e in de if cc == c]
         op.add_term(coeff * GaussRat(Fraction(-scale)),
-                    Monomial(m.hl, m.hn, m.h2, m.zexp + q_c),
+                    Monomial(m.hl, m.hn, m.zexp + q_c),
                     derivs=tuple(d for d in de if d[0][0] != c))
     return op
 
@@ -288,7 +290,7 @@ def _miwa_shift(s, lam, c, nsize, box, admit_in=None, admit_out=None):
             new_times = head + block + tail
             if admit_out is None or admit_out(m.hl, new_times):
                 out._put(Monomial._trusted(
-                    m.hl, m.hn - 2 * n if nsize is None else m.hn, m.h2, z,
+                    m.hl, m.hn - 2 * n if nsize is None else m.hn, z,
                     new_times), cf)
     return out
 
@@ -315,7 +317,7 @@ def _exp_A(c, box, scale):
         cf = coeff.get((d, den))
         if cf is None:
             cf = coeff[(d, den)] = GaussRat(Fraction(scale ** d, den))
-        out.terms[Monomial._trusted(0, 0, 0, w, times)] = cf
+        out.terms[Monomial._trusted(0, 0, w, times)] = cf
     return out
 
 
@@ -362,7 +364,7 @@ def _pair_residue(f_plus, f_minus, d_ext):
     time degree <= d_ext, with z dropped."""
     return f_plus.mul(
         f_minus,
-        admit=lambda m: m.zexp == -1 and m.time_degree() <= d_ext).residue_z()
+        admit=lambda m: m.zexp == -1 and m.grade()[0] <= d_ext).residue_z()
 
 
 def _hirota_ring(d_ext, p_ext, nsize):
@@ -397,7 +399,7 @@ def _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out):
         if cc != c:
             counts[cc] += e
     deg_L = deg_out + D * min(counts.values())
-    win = p_ring * deg_L + mono.time_weight() + hl_cap + 4
+    win = p_ring * deg_L + mono.grade()[1] + hl_cap + 4
     return TruncSpec(hl_cap, deg_L, p_ring, (-win, win))
 
 
@@ -421,7 +423,7 @@ def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
     """
     c, hl_cap, p_ring = 1, 4, 4
     colours = tuple(range(1, D + 1))
-    deg_out = mono.time_degree() + 2
+    deg_out = mono.grade()[0] + 2
     t_L = _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out)
     t_R = TruncSpec(hl_cap, deg_out, p_ring, (t_L.z_min, t_L.z_max))
     ops = {} if _ops is None else _ops
@@ -431,14 +433,14 @@ def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
                     closed_form_AY(D, c, t_R, colours=colours))
     Y_L, AY = ops[key]
 
-    s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
-                             zexp=mono.zexp, times=mono.times)
+    s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, zexp=mono.zexp,
+                             times=mono.times)
     u = Y_L.apply_exp(s, scale=-1)
     u = _vertex(u, sign, c, None, t_L)
     lhs = Y_L.apply_exp(u).restrict(t_R)
 
-    s2 = Series(t_R).add_term(1, hl=mono.hl, hn=mono.hn, h2=mono.h2,
-                              zexp=mono.zexp, times=mono.times)
+    s2 = Series(t_R).add_term(1, hl=mono.hl, hn=mono.hn, zexp=mono.zexp,
+                              times=mono.times)
     rhs = _vertex(s2, sign, c, None, t_R, middle=AY)
     if lhs.trunc == rhs.trunc and lhs.terms == rhs.terms:
         return Series(lhs.trunc)
@@ -517,7 +519,8 @@ def calibrate_conventions():
     A convention survives when the boxed residual (degree 1, indices <= 2)
     vanishes at N = 1 and N = 2.  The Gaussian point alone cannot
     discriminate (everything passes there), and N = 1 cannot either;
-    degree 1 at N = 2 is decisive.
+    degree 1 at N = 2 is decisive for the a-scale.  Both charge
+    assignments survive: the scan pins a = N only (see the module doc).
     """
     return [(a_scale, charge_literal)
             for a_scale in ("N", "1") for charge_literal in (True, False)

@@ -36,8 +36,8 @@ from math import factorial
 
 from .diffops import DiffOp
 from .scalars import GaussRat, minus_i_pow
-from .series import (Monomial, Series, TruncSpec, USeries, fold_h2,
-                     letter_products)
+from .series import (Monomial, Series, TruncSpec, USeries, letter_products,
+                     sqrt_half_lambda)
 from .wick import (NPoly, hermitian_moment, tensor_moment,
                    tensor_moment_index_oracle)
 from .onematrix import z1mm_series
@@ -115,7 +115,7 @@ def trace_expectation(series):
                 break
         for k, v in poly.c.items():
             out.add_term(coeff * GaussRat(v), hl=m.hl, hn=m.hn + 2 * k,
-                         h2=m.h2, zexp=m.zexp, times=())
+                         zexp=m.zexp)
     return out
 
 
@@ -126,11 +126,9 @@ def intermediate_field_z(D, order):
     trunc = TruncSpec(hl_max, D * hl_max, hl_max, max_time_weight=hl_max)
     expo = DiffOp(trunc)
     for q, total, count in _colour_multisets(D, hl_max):
-        h2, mult = fold_h2(-total)
-        expo.add_term(minus_i_pow(total) * GaussRat(Fraction(count, total)
-                                                    * mult),
-                      Monomial(hl=total, hn=-(D - 2) * total + 2 * q.count(0),
-                               h2=h2),
+        expo.add_term(minus_i_pow(total) * GaussRat(
+                          Fraction(count, total) * sqrt_half_lambda(total)),
+                      Monomial(hl=total, hn=-(D - 2) * total + 2 * q.count(0)),
                       mults=tuple(((c + 1, qc), 1)
                                   for c, qc in enumerate(q) if qc))
     return trace_expectation(expo.apply_exp(Series.one(trunc))).restrict(
@@ -149,10 +147,9 @@ def build_Y(D, trunc, colours=None):
         raise ValueError("ring must retain indices up to max_hl")
     op = DiffOp(trunc)
     for q, total, count in _colour_multisets(D, trunc.max_hl):
-        h2, mult = fold_h2(-total)
         coeff = minus_i_pow(total) * GaussRat(
-            Fraction((-1) ** D * count, total) * mult)
-        mono = Monomial(hl=total, hn=-2 * D - (D - 2) * total, h2=h2)
+            Fraction((-1) ** D * count, total) * sqrt_half_lambda(total))
+        mono = Monomial(hl=total, hn=-2 * D - (D - 2) * total)
         # add_term merges the derivatives of a colour listed twice
         op.add_term(coeff, mono,
                     derivs=tuple((key, 1) for key in zip(colours, q)))
@@ -204,13 +201,13 @@ def tensor_free_energy_exponents(D, order):
     """N-exponents of each lambda^k coefficient of log Z_T (route 1).
 
     Returns {k: sorted list of integer exponents}, from USeries.log of Z_T
-    as a lambda-series over NPoly.  An odd power of sqrtLam, sqrtN or
-    sqrt2 or a non-real coefficient in Z_T would be an error.
+    as a lambda-series over NPoly.  An odd power of sqrtLam or sqrtN or a
+    non-real coefficient in Z_T would be an error.
     """
     z = direct_tensor_z(D, order)
     coeffs = [NPoly() for _ in range(order + 1)]
     for m, c in z.terms.items():
-        if m.hl % 2 or m.hn % 2 or m.h2 or c.im:
+        if m.hl % 2 or m.hn % 2 or c.im:
             raise AssertionError("not a real series in lambda and N: %s * %s"
                                  % (c, m))
         coeffs[m.hl // 2] = coeffs[m.hl // 2] + NPoly.N_pow(m.hn // 2, c.re)

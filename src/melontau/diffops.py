@@ -5,7 +5,7 @@ A DiffOp is a finite sum of terms
     coeff * mono * prod t[c,p]^mults * prod (d/dt[c,p])^derivs
 
 with the derivatives standing to the right (they act first).  mono is a
-time-free Monomial (sqrtLam/sqrtN/sqrt2/z only); all time dependence of the
+time-free Monomial (sqrtLam/sqrtN/z only); all time dependence of the
 operator lives in mults so that normal ordering is well defined.
 
 Composition uses the one-variable Weyl relation
@@ -167,12 +167,9 @@ class DiffOp(_Terms):
                 hl = m.hl + sm.hl
                 if admit is not None and not admit(hl, times):
                     continue
-                h2 = m.h2 + sm.h2
-                if h2 >= 2:
+                if m.hl & sm.hl & 1:        # Monomial.mul's carry
                     val *= 2
-                    h2 -= 2
-                mono = trusted(hl, m.hn + sm.hn, h2,
-                               m.zexp + sm.zexp, times)
+                mono = trusted(hl, m.hn + sm.hn, m.zexp + sm.zexp, times)
                 coeff = c * sc
                 put(mono, coeff * val if val != 1 else coeff)
         return out

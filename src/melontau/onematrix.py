@@ -71,7 +71,7 @@ def z1mm_series(trunc, colour=1, nsize=None, engine="auto"):
         # terms need none of add_term's checks
         sign = Fraction((-1) ** tot, den)
         piece = Series(trunc)
-        piece.terms = {Monomial._trusted(0, 2 * (k + tot), 0, 0, times):
+        piece.terms = {Monomial._trusted(0, 2 * (k + tot), 0, times):
                        GaussRat(v * sign) for k, v in mom.c.items()}
         out = out + piece
     return out.mul(_t0_factor(trunc, colour))

@@ -4,7 +4,7 @@ Conventions
 -----------
 A monomial is
 
-    sqrtLam^hl * sqrtN^hn * sqrt2^h2 * z^zexp * prod t[c,p]^e
+    sqrtLam^hl * sqrtN^hn * sqrt2^(hl & 1) * z^zexp * prod t[c,p]^e
 
 with hl >= 0 (the coupling enters only through nonnegative powers of
 sqrt(lambda)), hn and zexp arbitrary integers (Laurent), and times t[c,p]
@@ -12,10 +12,11 @@ indexed by a colour tag c >= 1 and a power index p >= 0.  t[c,0] is a real
 variable like any other (partition functions depend on it through an exact
 exponential prefactor).
 
-sqrt2 normalization: so that equal values collide on equal keys, h2 is kept
-in {0,1}; even powers of sqrt2 are folded into the rational coefficient at
-term-construction time (see Monomial.mul's carry and Series.add_term).  lambda
-means sqrtLam^2 and N means sqrtN^2 throughout.
+sqrt2 enters only through the coupling sqrt(lambda/2): it is a grading of
+sqrtLam, stored as the parity of hl, and sqrt(lambda/2)^t is
+sqrt_half_lambda(t) sqrtLam^t.  Two odd sqrtLam powers multiply to an even
+one times sqrt2^2 = 2 (Monomial.mul's carry, DiffOp.apply).  lambda means
+sqrtLam^2 and N means sqrtN^2 throughout.
 
 Truncation: a TruncSpec is an explicit box (max sqrtLam power, max total time
 degree, max time index, z window, max weighted time degree sum_p p*e_p; a
@@ -68,42 +69,37 @@ def _as_coeff(x):
     raise TypeError("coefficient must be GaussRat/int/Fraction, got %r" % (x,))
 
 
-def fold_h2(h2):
-    """Normalize a sqrt2 exponent: (exponent in {0,1}, Fraction multiplier).
+def sqrt_half_lambda(t):
+    """The rational factor of sqrt(lambda/2)^t on the key sqrtLam^t, whose
+    sqrt2 is t & 1: 2^(-t/2) = sqrt2^(t & 1) / 2^ceil(t/2).
 
-    >>> fold_h2(5)
-    (1, Fraction(4, 1))
-    >>> fold_h2(-3)
-    (1, Fraction(1, 4))
+    >>> sqrt_half_lambda(3)      # sqrtLam^3 sqrt2 / 4
+    Fraction(1, 4)
     """
-    if h2 >= 0:
-        return h2 % 2, Fraction(2 ** (h2 // 2))
-    k = (-h2 + 1) // 2
-    return (-h2) % 2, Fraction(1, 2 ** k)
+    return Fraction(1, 2 ** ((t + 1) // 2))
 
 
 class Monomial:
-    """Immutable monomial key.  times is a sorted tuple of ((c, p), e), e >= 1.
+    """Immutable monomial key (hl, hn, zexp, times): times is a sorted tuple
+    of ((c, p), e), e >= 1, and the sqrt2 power is hl & 1.
 
-    >>> m = Monomial(hl=2, hn=-1, h2=1, zexp=0, times=(((1, 2), 3),))
-    >>> m.time_degree(), m.time_weight()
-    (3, 6)
+    >>> m = Monomial(hl=1, hn=-1, times=(((1, 2), 3),))
+    >>> print(m)
+    sqrtLam^1 * sqrtN^-1 * sqrt2^1 * t[1,2]^3
     >>> a, carry = m.mul(m)
-    >>> a.h2, carry        # sqrt2^2 folds into the coefficient
-    (0, 2)
+    >>> str(a), carry       # sqrt2^2 goes into the coefficient
+    ('sqrtLam^2 * sqrtN^-2 * t[1,2]^6', 2)
     """
 
-    __slots__ = ("hl", "hn", "h2", "zexp", "times", "_key", "_hash")
+    __slots__ = ("hl", "hn", "zexp", "times", "_key", "_hash")
 
-    def __init__(self, hl=0, hn=0, h2=0, zexp=0, times=()):
+    def __init__(self, hl=0, hn=0, zexp=0, times=()):
         if hl < 0:
             raise ValueError("negative sqrtLam power")
-        if h2 not in (0, 1):
-            raise ValueError("h2 must be normalized to 0 or 1")
-        _fill(self, hl, hn, h2, zexp, normal_times(times))
+        _fill(self, hl, hn, zexp, normal_times(times))
 
     @classmethod
-    def _trusted(cls, hl, hn, h2, zexp, times):
+    def _trusted(cls, hl, hn, zexp, times):
         """Monomial from inputs already valid, merged and sorted (no checks).
 
         Only for callers that build times from valid Monomials' times or
@@ -111,14 +107,8 @@ class Monomial:
         Series.derive, shift_z, residue_z and eval_N, and z1mm_series.
         """
         m = _object_new(cls)
-        _fill(m, hl, hn, h2, zexp, times)
+        _fill(m, hl, hn, zexp, times)
         return m
-
-    def time_degree(self):
-        return sum(e for _, e in self.times)
-
-    def time_weight(self):
-        return sum(p * e for (_c, p), e in self.times)
 
     def grade(self):
         """(time degree, time weight) in one pass over the times."""
@@ -129,15 +119,14 @@ class Monomial:
         return deg, weight
 
     def mul(self, other):
-        """Product monomial and the integer carry 2**((h2+h2')//2)."""
-        h2 = self.h2 + other.h2
+        """The product and its carry: 2 (sqrt2 * sqrt2) if both hl are odd."""
         mono = Monomial._trusted(self.hl + other.hl, self.hn + other.hn,
-                                 h2 & 1, self.zexp + other.zexp,
+                                 self.zexp + other.zexp,
                                  merge_times(self.times, other.times))
-        return mono, (2 if h2 >= 2 else 1)
+        return mono, (2 if self.hl & other.hl & 1 else 1)
 
     def is_one(self):
-        return self._key == (0, 0, 0, 0, ())
+        return self._key == (0, 0, 0, ())
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._key == other._key
@@ -154,8 +143,8 @@ class Monomial:
             parts.append("sqrtLam^%d" % self.hl)
         if self.hn:
             parts.append("sqrtN^%d" % self.hn)
-        if self.h2:
-            parts.append("sqrt2^%d" % self.h2)
+        if self.hl & 1:
+            parts.append("sqrt2^1")
         if self.zexp:
             parts.append("z^%d" % self.zexp)
         for (c, p), e in self.times:
@@ -234,13 +223,12 @@ def letter_products(letters, max_deg, max_weight):
     return rows
 
 
-def _fill(m, hl, hn, h2, zexp, times):
+def _fill(m, hl, hn, zexp, times):
     m.hl = hl
     m.hn = hn
-    m.h2 = h2
     m.zexp = zexp
     m.times = times
-    m._key = key = (hl, hn, h2, zexp, times)
+    m._key = key = (hl, hn, zexp, times)
     m._hash = hash(key)
 
 
@@ -406,13 +394,9 @@ class Series(_Terms):
         if self.trunc.admits(mono):
             self._accumulate(mono, coeff)
 
-    def add_term(self, coeff, hl=0, hn=0, h2=0, zexp=0, times=()):
-        """Add coeff * monomial, folding even sqrt2 powers into coeff."""
-        coeff = _as_coeff(coeff)
-        h2, mult = fold_h2(h2)
-        if mult != 1:
-            coeff = coeff * GaussRat(mult)
-        self._put(Monomial(hl, hn, h2, zexp, times), coeff)
+    def add_term(self, coeff, hl=0, hn=0, zexp=0, times=()):
+        """Add coeff * monomial (with sqrt2 when hl is odd)."""
+        self._put(Monomial(hl, hn, zexp, times), _as_coeff(coeff))
         return self
 
     # -- queries ----------------------------------------------------------
@@ -513,7 +497,7 @@ class Series(_Terms):
                 del t[key]
             else:
                 t[key] = e - 1
-            s._put(Monomial._trusted(m.hl, m.hn, m.h2, m.zexp,
+            s._put(Monomial._trusted(m.hl, m.hn, m.zexp,
                                      tuple(t.items())), coeff * e)
         return s
 
@@ -523,7 +507,7 @@ class Series(_Terms):
         """Multiply by z**k; refuses to drop terms past the window."""
         s = Series(self.trunc)
         for m, c in self.terms.items():
-            mono = Monomial._trusted(m.hl, m.hn, m.h2, m.zexp + k, m.times)
+            mono = Monomial._trusted(m.hl, m.hn, m.zexp + k, m.times)
             if not self.trunc.admits(mono):
                 raise WindowError("z^%d shift pushes %s outside window [%d,%d]"
                                   % (k, m, self.trunc.z_min, self.trunc.z_max))
@@ -544,7 +528,7 @@ class Series(_Terms):
         s = Series(self.trunc)
         for m, c in self.terms.items():
             if m.zexp == -1:
-                s._put(Monomial._trusted(m.hl, m.hn, m.h2, 0, m.times), c)
+                s._put(Monomial._trusted(m.hl, m.hn, 0, m.times), c)
         return s
 
     # -- restriction / substitution ----------------------------------------
@@ -574,7 +558,7 @@ class Series(_Terms):
             if m.hn % 2:
                 raise ValueError("odd sqrtN power in %s; cannot evaluate" % m)
             val = Fraction(n) ** (m.hn // 2)
-            s._put(Monomial._trusted(m.hl, 0, m.h2, m.zexp, m.times),
+            s._put(Monomial._trusted(m.hl, 0, m.zexp, m.times),
                    c * val)
         return s
 
@@ -607,45 +591,6 @@ class Series(_Terms):
         return " + ".join("(%s)*%s" % (c, m) for m, c in self.sorted_terms())
 
     __repr__ = __str__
-
-
-def parse_series(text, trunc):
-    """Inverse of Series.serialize (round-trips exactly).
-
-    >>> t = TruncSpec(2, 2, 4)
-    >>> s = Series(t).add_term(Fraction(1, 2), hl=1, h2=1, zexp=-1)
-    >>> parse_series(s.serialize(), t) == s
-    True
-    """
-    s = Series(trunc)
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split("*")]
-        nre, dre, nim, dim = (int(x) for x in fields[0].split("/"))
-        coeff = GaussRat(Fraction(nre, dre), Fraction(nim, dim))
-        hl = hn = h2 = zexp = 0
-        times = {}
-        for f in fields[1:]:
-            name, exp = f.rsplit("^", 1)
-            exp = int(exp)
-            if name == "sqrtLam":
-                hl = exp
-            elif name == "sqrtN":
-                hn = exp
-            elif name == "sqrt2":
-                h2 = exp
-            elif name == "z":
-                zexp = exp
-            elif name.startswith("t[") and name.endswith("]"):
-                c_, p = name[2:-1].split(",")
-                times[(int(c_), int(p))] = exp
-            else:
-                raise ValueError("unknown factor %r" % f)
-        s.add_term(coeff, hl=hl, hn=hn, h2=h2, zexp=zexp,
-                   times=tuple(times.items()))
-    return s
 
 
 class USeries:

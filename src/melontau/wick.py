@@ -112,7 +112,7 @@ class NPoly:
         s = Series(trunc)
         for k, v in self.c.items():
             s.add_term(v * Fraction(coeff), hl=extra.hl, hn=2 * k + extra.hn,
-                       h2=extra.h2, zexp=extra.zexp, times=extra.times)
+                       zexp=extra.zexp, times=extra.times)
         return s
 
     def __repr__(self):
@@ -246,7 +246,7 @@ def hermitian_moment(word, engine="auto"):
     """
     word = tuple(word)
     for p in word:
-        if not isinstance(p, int):
+        if type(p) is not int:      # bool is an int subclass: refused too
             raise ValueError("trace power must be an int, got %r" % (p,))
         if p < 0:
             raise ValueError("negative trace power")

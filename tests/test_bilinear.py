@@ -93,7 +93,7 @@ def test_basis_monomials_is_every_monomial_once(D, deg, p):
     assert len(mons) == comb(D * (p + 1) + deg, deg)
     assert len(set(mons)) == len(mons)
     assert mons[0].is_one()
-    assert all(m.time_degree() <= deg and 1 <= c <= D and q <= p
+    assert all(m.grade()[0] <= deg and 1 <= c <= D and q <= p
                for m in mons for (c, q), _e in m.times)
 
 
@@ -116,7 +116,7 @@ def test_factor_is_not_trivial():
     f = hirota_factor(+1, 1, 2, 1, 2)
     assert not f.is_zero()
     assert any(m.zexp < 0 for m in f.terms)
-    assert any(m.time_degree() == 1 for m in f.terms)
+    assert any(m.grade()[0] == 1 for m in f.terms)
 
 
 def test_calibration_pins_the_a_scale():
@@ -376,8 +376,8 @@ def _series_in(draw, ring):
     for _ in range(draw(st.integers(0, 8))):
         s.add_term(draw(st.integers(-3, 3).filter(bool)),
                    hl=draw(st.integers(0, ring.max_hl)),
-                   hn=draw(st.integers(-2, 2)), h2=draw(st.integers(0, 1)),
-                   zexp=draw(zexp), times=draw(st.lists(letter, max_size=3)))
+                   hn=draw(st.integers(-2, 2)), zexp=draw(zexp),
+                   times=draw(st.lists(letter, max_size=3)))
     return s
 
 

@@ -330,7 +330,7 @@ def test_failed_sandwich_shows_lowest_residual_terms(capsys, monkeypatch):
     assert not sandwich["passed"]
     assert sandwich["detail"] == (
         "mismatch at 1: 4 nonzero residual term(s), lowest: "
-        "-3/1/0/1 * t[2,1]^1; 5/1/0/1 * z^1; 1/2/0/1 * sqrtLam^1")
+        "-3/1/0/1 * t[2,1]^1; 5/1/0/1 * z^1; 1/2/0/1 * sqrtLam^1 * sqrt2^1")
 
 
 # malformed graph files: each a configuration error, never a traceback

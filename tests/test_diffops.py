@@ -50,16 +50,17 @@ def test_apply_matches_direct_differentiation():
 
 
 def test_apply_sqrt2_carry_and_box():
-    t = TruncSpec(2, 3, 4, (-2, 2))
-    s = (Series(t).add_term(3, hl=1, h2=1, times=(((1, 1), 2),))
+    t = TruncSpec(4, 3, 4, (-2, 2))
+    s = (Series(t).add_term(3, hl=1, times=(((1, 1), 2),))
          .add_term(1, hl=2, times=(((1, 1), 1),)))
-    op = DiffOp(t).add_term(Fraction(1, 2), Monomial(h2=1, zexp=1),
+    op = DiffOp(t).add_term(Fraction(1, 2), Monomial(hl=1, zexp=1),
                             mults=(((2, 3), 1),), derivs=(((1, 1), 1),))
-    # the hl=2 term's image has hl=2 still, but d/dt[1,1] t[1,1]^2 = 2 t[1,1]
+    # odd times odd sqrtLam: sqrt2 * sqrt2 = 2 goes into the coefficient,
+    # and d/dt[1,1] t[1,1]^2 = 2 t[1,1]; odd times even keeps the sqrt2
     expect = (Series(t)
-              .add_term(Fraction(1, 2) * 3 * 2, hl=1, h2=2, zexp=1,
+              .add_term(Fraction(1, 2) * 3 * 2 * 2, hl=2, zexp=1,
                         times=(((1, 1), 1), ((2, 3), 1)))
-              .add_term(Fraction(1, 2), hl=2, h2=1, zexp=1,
+              .add_term(Fraction(1, 2), hl=3, zexp=1,
                         times=(((2, 3), 1),)))
     assert op.apply(s) == expect
     # a power beyond the z window is dropped from the output

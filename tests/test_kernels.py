@@ -7,7 +7,9 @@ Weyl reordering and Monomial.mul against the public Monomial constructor.
 The kernels skip pairs that cannot land in the box and build their
 results unchecked; the references visit every pair and build each product
 through the public Monomial, Series._put and DiffOp.add_term, so any pair
-the kernels wrongly skip or wrongly keep shows as a difference.
+the kernels wrongly skip or wrongly keep shows as a difference.  They
+work out the sqrt2 carry themselves (sqrt2_carry), from the rule that a
+monomial carries sqrt2 exactly when its sqrtLam power is odd.
 """
 
 from fractions import Fraction
@@ -19,18 +21,25 @@ from hypothesis import given, settings, strategies as st
 
 from melontau.diffops import DiffOp
 from melontau.scalars import GaussRat
-from melontau.series import Monomial, Series, TruncSpec, fold_h2
+from melontau.series import Monomial, Series, TruncSpec
+
+
+def sqrt2_carry(hl1, hl2):
+    """The power of 2 that a product of monomials with sqrtLam powers hl1
+    and hl2 moves into its coefficient: each factor carries sqrt2^(hl % 2)
+    and the product monomial keeps sqrt2^((hl1 + hl2) % 2)."""
+    moved = hl1 % 2 + hl2 % 2 - (hl1 + hl2) % 2     # 0 or 2 sqrt2 factors
+    return 2 ** (moved // 2)
 
 
 def naive_mul(a, b, admit=None):
     out = Series(a.trunc.meet(b.trunc))
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            h2, mult = fold_h2(m1.h2 + m2.h2)
-            mono = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, h2,
-                            m1.zexp + m2.zexp, m1.times + m2.times)
+            mono = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, m1.zexp + m2.zexp,
+                            m1.times + m2.times)
             if admit is None or admit(mono):
-                out._put(mono, c1 * c2 * GaussRat(mult))
+                out._put(mono, c1 * c2 * GaussRat(sqrt2_carry(m1.hl, m2.hl)))
     return out
 
 
@@ -49,12 +58,11 @@ def naive_apply(op, s, admit=None):
             else:
                 for key, b in mults:
                     t[key] = t.get(key, 0) + b
-                h2, mult = fold_h2(m.h2 + sm.h2)
-                mono = Monomial(m.hl + sm.hl, m.hn + sm.hn, h2,
-                                m.zexp + sm.zexp,
+                mono = Monomial(m.hl + sm.hl, m.hn + sm.hn, m.zexp + sm.zexp,
                                 tuple(kv for kv in t.items() if kv[1]))
                 if admit is None or admit(mono.hl, mono.times):
-                    out._put(mono, c * sc * GaussRat(val * mult))
+                    out._put(mono, c * sc * GaussRat(
+                        val * sqrt2_carry(m.hl, sm.hl)))
     return out
 
 
@@ -94,8 +102,8 @@ def series_in(draw, box):
     for _ in range(draw(st.integers(0, 8))):
         times = draw(st.lists(letters_in(box), max_size=box.max_time_deg))
         s.add_term(draw(coeffs), hl=draw(st.integers(0, box.max_hl)),
-                   hn=draw(st.integers(-2, 2)), h2=draw(st.integers(0, 1)),
-                   zexp=draw(zexp), times=[(key, 1) for key in times])
+                   hn=draw(st.integers(-2, 2)), zexp=draw(zexp),
+                   times=[(key, 1) for key in times])
     return s
 
 
@@ -108,14 +116,14 @@ def ops_in(draw, box):
     op = DiffOp(box)
     for _ in range(draw(st.integers(0, 5))):
         mono = Monomial(draw(st.integers(0, 2)), draw(st.integers(-2, 2)),
-                        draw(st.integers(0, 1)), draw(st.integers(-2, 2)))
+                        draw(st.integers(-2, 2)))
         op.add_term(draw(coeffs), mono, mults=draw(entries),
                     derivs=draw(entries))
     return op
 
 
 # extra predicates, as the bilinear pipelines pass them
-MONO_ADMITS = [None, lambda m: m.time_degree() % 2 == 0,
+MONO_ADMITS = [None, lambda m: m.grade()[0] % 2 == 0,
                lambda m: m.hl + m.zexp <= 1]
 LETTER_ADMITS = [None, lambda hl, times: sum(e for _k, e in times) % 2 == 0,
                  lambda hl, times: hl + len(times) <= 2]
@@ -176,14 +184,13 @@ def nilpotent_ops_in(draw, box):
                         st.integers(1, 2))
     op = DiffOp(ring)
     for _ in range(draw(st.integers(1, 4))):
-        hn, h2 = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
-        zexp = draw(st.integers(-1, 1))
+        hn, zexp = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
         derivs = draw(st.lists(letters, max_size=2))
         if derivs and draw(st.booleans()):
-            op.add_term(draw(coeffs), Monomial(0, hn, h2, zexp),
+            op.add_term(draw(coeffs), Monomial(0, hn, zexp),
                         derivs=derivs)
         else:
-            op.add_term(draw(coeffs), Monomial(1, hn, h2, zexp),
+            op.add_term(draw(coeffs), Monomial(1, hn, zexp),
                         mults=draw(st.lists(st.one_of(dropped, letters),
                                             max_size=1)),
                         derivs=derivs)
@@ -270,9 +277,8 @@ def naive_compose(a, b):
     out = DiffOp(a.trunc)
     for (m1, mu1, de1), c1 in a.terms.items():
         for (m2, mu2, de2), c2 in b.terms.items():
-            h2, mult = fold_h2(m1.h2 + m2.h2)
-            mono = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, h2,
-                            m1.zexp + m2.zexp)
+            mono = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, m1.zexp + m2.zexp)
+            mult = sqrt2_carry(m1.hl, m2.hl)
             letters = (word("t", mu1) + word("d", de1) + word("t", mu2)
                        + word("d", de2))
             for (ts, ds), n in normal_order(letters).items():
@@ -303,7 +309,7 @@ ENTRIES = st.tuples(st.tuples(st.integers(1, 3), st.integers(0, 3)),
 def monomials(draw, shared):
     """A monomial whose times are drawn letters plus the shared ones."""
     return Monomial(draw(st.integers(0, 3)), draw(st.integers(-3, 3)),
-                    draw(st.integers(0, 1)), draw(st.integers(-3, 3)),
+                    draw(st.integers(-3, 3)),
                     draw(st.lists(ENTRIES, max_size=4)) + shared)
 
 
@@ -313,8 +319,7 @@ def test_monomial_mul_matches_public_construction(data):
     shared = data.draw(st.lists(ENTRIES, max_size=2))
     m1, m2 = data.draw(monomials(shared)), data.draw(monomials(shared))
     got, carry = m1.mul(m2)
-    h2, mult = fold_h2(m1.h2 + m2.h2)
-    want = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, h2, m1.zexp + m2.zexp,
+    want = Monomial(m1.hl + m2.hl, m1.hn + m2.hn, m1.zexp + m2.zexp,
                     m1.times + m2.times)
     assert got == want and hash(got) == hash(want)
-    assert got.times == want.times and carry == mult
+    assert got.times == want.times and carry == sqrt2_carry(m1.hl, m2.hl)

@@ -206,8 +206,10 @@ def test_gaussian_norm_ratios():
     (lambda: z1mm_hankel(T, 1, 0), "size must be >= 1"),
     (lambda: virasoro_op(-2, T), "n >= -1"),
     (lambda: hermitian_moment([-1]), "negative trace power"),
+    (lambda: hermitian_moment([True]), "must be an int"),
     (lambda: Series.one(T).eval_N(0), "N must be a positive integer"),
-], ids=["z1mm_hankel", "virasoro_op", "hermitian_moment", "eval_N"])
+], ids=["z1mm_hankel", "virasoro_op", "hermitian_moment",
+        "hermitian_moment_bool", "eval_N"])
 def test_input_guards_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -8,7 +8,7 @@ from melontau.scalars import GaussRat
 from melontau.diffops import DiffOp
 from melontau.series import (Monomial, OutsideTruncationError, Series,
                              TruncSpec, USeries, WindowError, letter_products,
-                             parse_series)
+                             sqrt_half_lambda)
 from melontau.wick import NPoly
 
 
@@ -20,23 +20,27 @@ def s_one():
 
 
 def test_sqrt2_folding():
-    # sqrt2^5 = 4*sqrt2 : stored exponent must collapse to 1
-    s = Series(T).add_term(1, h2=5)
-    ((mono, coeff),) = s.sorted_terms()
-    assert mono.h2 == 1 and coeff == GaussRat(4)
-    # sqrt2^-3 = sqrt2 / 4
-    s = Series(T).add_term(1, h2=-3)
-    ((mono, coeff),) = s.sorted_terms()
-    assert mono.h2 == 1 and coeff == GaussRat(Fraction(1, 4))
-    # sqrt2 * sqrt2 = 2 via multiplication carry
-    r = Series(T).add_term(1, h2=1)
-    ((mono, coeff),) = (r * r).sorted_terms()
-    assert mono.h2 == 0 and coeff == GaussRat(2)
+    # an odd sqrtLam power carries sqrt2: sqrtLam sqrt2 * 3 sqrtLam^3 sqrt2
+    # = 6 sqrtLam^4, the sqrt2^2 = 2 going into the coefficient
+    a = Series(T).add_term(1, hl=1)
+    b = Series(T).add_term(3, hl=3)
+    ((mono, coeff),) = (a * b).sorted_terms()
+    assert str(mono) == "sqrtLam^4" and coeff == GaussRat(6)
+    # one odd factor: the product keeps its sqrt2, the coefficient its value
+    ((mono, coeff),) = (a * Series(T).add_term(5, hl=2)).sorted_terms()
+    assert str(mono) == "sqrtLam^3 * sqrt2^1" and coeff == GaussRat(5)
+    # sqrt(lambda/2)^t = sqrt_half_lambda(t) sqrt2^(t % 2) sqrtLam^t, so
+    # the square of its rational part times 2^(t % 2) is 2^-t
+    for t in range(8):
+        f = sqrt_half_lambda(t)
+        assert f * f * 2 ** (t % 2) == Fraction(1, 2 ** t)
 
 
 def test_monomial_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        Monomial(h2=2)
+    # the key has no sqrt2 slot, so a sqrt2 without a sqrtLam is unwritable
+    assert Monomial(hl=3)._key == (3, 0, 0, ())
+    with pytest.raises(TypeError):
+        Monomial(h2=1)
     with pytest.raises(ValueError):
         Monomial(hl=-1)
 
@@ -110,8 +114,7 @@ def test_add_with_different_boxes_filters():
 time_entry = st.tuples(st.tuples(st.integers(1, 3), st.integers(0, 4)),
                        st.integers(1, 3))
 monomials = st.builds(Monomial, st.integers(0, 3), st.integers(-3, 3),
-                      st.integers(0, 1), st.integers(-3, 3),
-                      st.lists(time_entry, max_size=4))
+                      st.integers(-3, 3), st.lists(time_entry, max_size=4))
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,30 +125,29 @@ def test_uncapped_box_admits_what_the_other_caps_admit(m, hl, deg, p_max,
     # the derived weight cap p_max * max_time_deg never binds
     box = TruncSpec(hl, deg, p_max, (z_min, z_max))
     assert box.admits(m) == (m.hl <= hl and z_min <= m.zexp <= z_max
-                             and m.time_degree() <= deg
+                             and m.grade()[0] <= deg
                              and all(p <= p_max for (_c, p), _e in m.times))
 
 
 @given(monomials, monomials)
 def test_mul_matches_public_construction(a, b):
     prod, carry = a.mul(b)
-    h2 = a.h2 + b.h2
-    want = Monomial(a.hl + b.hl, a.hn + b.hn, h2 % 2, a.zexp + b.zexp,
+    want = Monomial(a.hl + b.hl, a.hn + b.hn, a.zexp + b.zexp,
                     a.times + b.times)
     assert prod == want and hash(prod) == hash(want)
     assert prod.times == want.times
-    assert carry == (2 if h2 == 2 else 1)
+    assert carry == (2 if a.hl % 2 == 1 and b.hl % 2 == 1 else 1)
 
 
 def _public(s, fn):
     """s mapped term by term through the public constructor: fn(mono)
-    gives (factor, hl, hn, h2, zexp, times dict) or None to drop it."""
+    gives (factor, hl, hn, zexp, times dict) or None to drop it."""
     out = Series(s.trunc)
     for m, c in s.terms.items():
         got = fn(m)
         if got is not None:
-            f, hl, hn, h2, zexp, times = got
-            out.add_term(c * GaussRat(f), hl, hn, h2, zexp,
+            f, hl, hn, zexp, times = got
+            out.add_term(c * GaussRat(f), hl, hn, zexp,
                          tuple((k, e) for k, e in times.items() if e))
     return out
 
@@ -163,23 +165,23 @@ def test_series_maps_match_public_construction(terms, k):
         t = dict(m.times)
         e = t.get((1, 2), 0)
         t[(1, 2)] = e - 1
-        return (e, m.hl, m.hn, m.h2, m.zexp, t) if e else None
+        return (e, m.hl, m.hn, m.zexp, t) if e else None
 
     assert s.derive(1, 2).serialize() == _public(s, derived).serialize()
     if all(box.z_min <= m.zexp + k <= box.z_max for m in s.terms):
-        want = _public(s, lambda m: (1, m.hl, m.hn, m.h2, m.zexp + k,
+        want = _public(s, lambda m: (1, m.hl, m.hn, m.zexp + k,
                                      dict(m.times)))
         assert s.shift_z(k).serialize() == want.serialize()
     else:
         with pytest.raises(WindowError):
             s.shift_z(k)
     if all(m.zexp not in (box.z_min, box.z_max) for m in s.terms):
-        want = _public(s, lambda m: (1, m.hl, m.hn, m.h2, 0, dict(m.times))
+        want = _public(s, lambda m: (1, m.hl, m.hn, 0, dict(m.times))
                        if m.zexp == -1 else None)
         assert s.residue_z().serialize() == want.serialize()
     if all(m.hn % 2 == 0 for m in s.terms):
         want = _public(s, lambda m: (Fraction(2) ** (m.hn // 2), m.hl, 0,
-                                     m.h2, m.zexp, dict(m.times)))
+                                     m.zexp, dict(m.times)))
         assert s.eval_N(2).serialize() == want.serialize()
 
 
@@ -278,28 +280,31 @@ def test_eval_N():
         Series(T).add_term(1, hn=1).eval_N(2)
 
 
-def test_serialize_roundtrip_and_order():
+def test_serialize_golden_and_order():
     s = (Series(T)
          .add_term(Fraction(-3, 4), hl=2, hn=-2, times=(((1, 2), 1),))
-         .add_term(GaussRat(0, Fraction(1, 3)), h2=1, zexp=-2)
-         .add_term(2, times=(((2, 1), 1), ((1, 1), 2))))
-    text = s.serialize()
-    assert parse_series(text, T) == s
-    # canonical order: lines sorted by (hl, hn, h2, zexp, times)
-    assert text.splitlines() == sorted(
-        text.splitlines(),
-        key=lambda ln: _key_of(parse_series(ln, T)))
-
-
-def _key_of(single):
-    ((mono, _),) = single.sorted_terms()
-    return mono._key
+         .add_term(GaussRat(0, Fraction(1, 3)), hl=1, zexp=-2)
+         .add_term(2, times=(((2, 1), 1), ((1, 1), 2)))
+         .add_term(GaussRat(Fraction(5, 2), -7), hl=3, hn=1, zexp=2,
+                   times=(((1, 0), 1),))
+         .add_term(GaussRat(-1, Fraction(1, 2))))
+    lines = s.serialize().splitlines()
+    assert lines == [
+        "-1/1/1/2",
+        "2/1/0/1 * t[1,1]^2 * t[2,1]^1",
+        "0/1/1/3 * sqrtLam^1 * sqrt2^1 * z^-2",
+        "-3/4/0/1 * sqrtLam^2 * sqrtN^-2 * t[1,2]^1",
+        "5/2/-7/1 * sqrtLam^3 * sqrtN^1 * sqrt2^1 * z^2 * t[1,0]^1",
+    ]
+    # canonical order: the lines follow sorted_terms, by (hl, hn, zexp, times)
+    assert [ln.partition(" * ")[2] or "1" for ln in lines] == [
+        str(m) for m, _c in s.sorted_terms()]
 
 
 # -- property tests -------------------------------------------------------
 
 small_mono = st.builds(
-    lambda hl, hn, deg: Monomial(hl, hn, 0, 0,
+    lambda hl, hn, deg: Monomial(hl, hn, 0,
                                  tuple({(1, p): 1 for p in range(1, deg + 1)}.items())),
     st.integers(0, 2), st.integers(-2, 2), st.integers(0, 2))
 
