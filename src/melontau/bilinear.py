@@ -68,8 +68,8 @@ e^{-+[A,Y]}, the charge z^{-+N}, restriction to the output box and e^{+-aA}
 on that box (_vertex_tail).  A caller only picks the ring, the output box,
 N (symbolic or concrete) and the middle factor.  The dressed factor shifts
 before the product and e^{Y}, with the same result: the ring clipped the
-product before the shift, so each (degree, weight) slice of the active
-series meets only the spectator terms that fit beside it in the ring.
+product before the shift by the two grades alone, so the active terms that
+the same spectator grades fit beside are shifted and multiplied as one.
 
 Both exponentials are applied in closed form.  e^{-+B} is the Miwa shift
 t[c,n] -> t[c,n] -+ z^{-n}/(nN), box-pruned: each input term is expanded
@@ -488,6 +488,8 @@ def hirota_factor(sign, c, nsize, d_ext, p_ext, a_scale="N",
     sign = +1 is V_+.  charge_literal assigns z^{-N} to V_+ (flipping it is
     only used by the calibration scan).
     """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     if ring is None:
         ring = _hirota_ring(d_ext, p_ext, nsize)
     elif ring.z_max < 2 * d_ext * p_ext + 1 + nsize + 2:
@@ -540,6 +542,8 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
     with_middle=False drops the e^{-+[A,Y]} factor (ablation only: the
     residual must then fail to vanish, showing the factor is load-bearing).
     """
+    if sign not in (1, -1) or not 1 <= c <= D:
+        raise ValueError("sign must be +1 or -1 and 1 <= c <= D")
     offset = 0 if sign > 0 else D
     colours = tuple(offset + cc for cc in range(1, D + 1))
     c_act = offset + c
@@ -564,18 +568,23 @@ def tensor_vertex_factor(sign, D, K, nsize, c=1, d_ext=1, p_ext=2,
             active = zc
         else:   # more letters never help a term into the box: cut products
             spect = spect.mul(zc, admit=lambda m: reach_in(m.hl, m.times))
-    # [B, Y] = 0: e^{-+B} shifts the active series before any product; the
-    # ring clipped that product before the shift: replay the clip per slice
-    slices = {}
+    # [B, Y] = 0: e^{-+B} shifts the active series before any product.  The
+    # ring clipped that product before the shift, by the two grades alone:
+    # group the active terms by the spectator grades that fit beside them,
+    # then shift and multiply once per group
+    grades = {m.grade() for m in spect.terms}
+    fits, groups = {}, {}
     for m, cf in active.terms.items():
-        slices.setdefault(m.grade(), Series(ring)).terms[m] = cf
+        d, w = g = m.grade()
+        if g not in fits:
+            fits[g] = frozenset(
+                gs for gs in grades if d + gs[0] <= ring.max_time_deg
+                and w + gs[1] <= ring.max_time_weight)
+        groups.setdefault(fits[g], Series(ring)).terms[m] = cf
     prod = Series(ring)
-    for (d, w), piece in slices.items():
-        room = TruncSpec(ring.max_hl, ring.max_time_deg - d, P,
-                         (ring.z_min, ring.z_max),
-                         max_time_weight=ring.max_time_weight - w)
+    for fit, piece in groups.items():
         u = _miwa_shift(piece, -sign, c_act, nsize, ring, reach_in, reach)
-        prod = prod + u.mul(spect.filter(room.admits),
+        prod = prod + u.mul(spect.filter(lambda m: m.grade() in fit),
                             admit=lambda m: reach(m.hl, m.times))
     s = build_Y(D, ring, colours).apply_exp(prod, admit=reach)
     middle = (closed_form_AY(D, c_act, ring, colours=colours, scale=a_val)

@@ -284,8 +284,12 @@ def _factor_case(fn, *args, **kwargs):
     _factor_case("tensor_vertex_factor", sign, 2, 1, 1, d_ext=2, p_ext=1)
     for sign in (1, -1)
 ] + [
-    # the ring clip of the product, replayed per slice of the active series
-    _factor_case("tensor_vertex_factor", 1, 2, 0, 1, prefilter=False),
+    # unprefiltered, the ring clips the product: the active terms are
+    # shifted and multiplied per group that the same spectator grades fit
+    # beside (8 groups at p_ext = 1, where the unpruned reference takes
+    # ~2 s on a 2-core x86 host)
+    _factor_case("tensor_vertex_factor", 1, D, K, 1, prefilter=False, **kw)
+    for D, K, kw in ((2, 0, {}), (3, 0, {}), (2, 1, {"p_ext": 1}))
 ] + [
     _factor_case("tensor_vertex_factor", sign, 3, 1, 1, p_ext=1)
     for sign in (1, -1)

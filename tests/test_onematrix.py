@@ -4,6 +4,7 @@ from math import comb, factorial
 import pytest
 
 from melontau import onematrix
+from melontau.bilinear import hirota_factor, tensor_vertex_factor
 from melontau.diffops import DiffOp
 from melontau.series import Monomial, Series, TruncSpec
 from melontau.wick import NPoly, hermitian_moment
@@ -208,8 +209,12 @@ def test_gaussian_norm_ratios():
     (lambda: hermitian_moment([-1]), "negative trace power"),
     (lambda: hermitian_moment([True]), "must be an int"),
     (lambda: Series.one(T).eval_N(0), "N must be a positive integer"),
+    (lambda: hirota_factor(0, 1, 1, 1, 2), "sign must be"),
+    (lambda: tensor_vertex_factor(2, 2, 1, 1), "sign must be"),
+    (lambda: tensor_vertex_factor(1, 2, 1, 1, 3), "1 <= c <= D"),
 ], ids=["z1mm_hankel", "virasoro_op", "hermitian_moment",
-        "hermitian_moment_bool", "eval_N"])
+        "hermitian_moment_bool", "eval_N", "hirota_factor_sign",
+        "tensor_vertex_factor_sign", "tensor_vertex_factor_colour"])
 def test_input_guards_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
