@@ -50,11 +50,10 @@ These four operator identities are verified by normal-ordered composition,
 and the sandwich itself is checked on basis monomials with a per-monomial
 enlarged inner truncation (an e^{Y} application can lower the degree by at
 most D, and the number of applications that can fire is bounded by the
-non-active-colour letters of the input monomial).  Many basis monomials
-share a ring, so a run over the basis builds Y and [A, Y] once per
-distinct ring and keeps them only for that run.  The charge factor is a
-pure z-power and commutes with Y by construction, so it is left out of
-the sandwich.
+non-active-colour letters of the input monomial).  Y and [A, Y] have the
+same terms in every such ring, so a run over the basis builds them once
+per D.  The charge factor is a pure z-power and commutes with Y by
+construction, so it is left out of the sandwich.
 
 The deformed bilinear takes the same residue of the dressed operators on
 e^{Y} prod_c Z^{(c)} (all times alive), shifting first as [B^c, Y] = 0.
@@ -93,7 +92,7 @@ sqrtLam, never z, so it drops only terms the restriction would drop later:
 every factor is unchanged term by term, deep z included.  The
 colour-budget prefilter on the one-matrix series is a different cut, a
 z-counting bound (sum beta <= P) that is exact for the residue only.  The
-sandwich's box is its ring, so nothing is pruned there.
+sandwich's box is its ring, where _reach admits every term.
 
 Only the residue is box-exact, not each factor: a factor's deep-z terms
 are clipped by the ring's weight cap and change when the ring grows, while
@@ -329,24 +328,20 @@ def _vertex(s, sign, c, nsize, box, a_val=1, middle=None, charge=0):
     the Miwa shift (_miwa_shift), then _vertex_tail.  middle (the
     dressing [A^c, Y]) and the charge are optional."""
     mid = "" if middle is None else "M"
-    reach = ((None, None) if box == s.trunc
-             else (_reach(box, c, "B" + mid), _reach(box, c, mid)))
-    u = _miwa_shift(s, -sign, c, nsize, box, *reach)
+    u = _miwa_shift(s, -sign, c, nsize, box, _reach(box, c, "B" + mid),
+                    _reach(box, c, mid))
     return _vertex_tail(u, sign, c, box, a_val, middle, charge)
 
 
 def _vertex_tail(u, sign, c, box, a_val, middle, charge):
-    """The chain after e^{-+B}: e^{-+middle} (pruned by _reach unless box
-    is the ring of u), z^charge, restriction to box and e^{+-aA} (_exp_A).
-    Raises WindowError if a result term sits on the z boundary, which
-    clipped partners could have cancelled."""
-    whole = box == u.trunc
+    """The chain after e^{-+B}: e^{-+middle} pruned by _reach, z^charge,
+    restriction to box and e^{+-aA} (_exp_A).  Raises WindowError if a term
+    sits on the z boundary, which clipped partners could have cancelled."""
     if middle is not None:
-        u = middle.apply_exp(u, -sign, None if whole else _reach(box, c, "M"))
+        u = middle.apply_exp(u, -sign, _reach(box, c, "M"))
     if charge:
         u = u.shift_z(charge)
-    if not whole:
-        u = u.restrict(box)
+    u = u.restrict(box)
     out = u.mul(_exp_A(c, box, sign * a_val))
     for m in out.terms:
         if m.zexp in (box.z_min, box.z_max):
@@ -403,6 +398,15 @@ def _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out):
     return TruncSpec(hl_cap, deg_L, p_ring, (-win, win))
 
 
+def _sandwich_ops(D):
+    """Y and [A^1, Y] at sqrtLam and index caps 4: the same terms in every
+    sandwich ring (z^{q_1} <= z^4 fits each window), and DiffOp.apply works
+    in the ring of the series it is given."""
+    trunc, colours = TruncSpec(4, 0, 4), tuple(range(1, D + 1))
+    return (build_Y(D, trunc, colours),
+            closed_form_AY(D, 1, trunc, colours=colours))
+
+
 def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
     """e^{Y} V^c e^{-Y} (m) minus the dressed closed form applied to m,
     for the active colour c = 1.
@@ -415,29 +419,21 @@ def conjugation_sandwich_residual(mono, D, sign=1, _ops=None):
     far above the comparison box an intermediate can sit and still come
     back down.
 
-    The operators Y and [A, Y] depend only on D and the two rings, which
-    many basis monomials share.  _ops, a dict that a run over the basis
-    (conjugation_sandwich_residuals) keeps, holds them by (D, ring,
-    comparison box), so each is built once per distinct ring per run;
-    without it they are built here.
+    _ops is the pair (Y, [A, Y]) of _sandwich_ops(D), which a run over the
+    basis (conjugation_sandwich_residuals) builds once and shares; without
+    it the pair is built here.
     """
     c, hl_cap, p_ring = 1, 4, 4
-    colours = tuple(range(1, D + 1))
     deg_out = mono.grade()[0] + 2
     t_L = _sandwich_ring(mono, D, c, hl_cap, p_ring, deg_out)
     t_R = TruncSpec(hl_cap, deg_out, p_ring, (t_L.z_min, t_L.z_max))
-    ops = {} if _ops is None else _ops
-    key = (D, t_L, t_R)
-    if key not in ops:
-        ops[key] = (build_Y(D, t_L, colours),
-                    closed_form_AY(D, c, t_R, colours=colours))
-    Y_L, AY = ops[key]
+    Y, AY = _sandwich_ops(D) if _ops is None else _ops
 
     s = Series(t_L).add_term(1, hl=mono.hl, hn=mono.hn, zexp=mono.zexp,
                              times=mono.times)
-    u = Y_L.apply_exp(s, scale=-1)
+    u = Y.apply_exp(s, scale=-1)
     u = _vertex(u, sign, c, None, t_L)
-    lhs = Y_L.apply_exp(u).restrict(t_R)
+    lhs = Y.apply_exp(u).restrict(t_R)
 
     s2 = Series(t_R).add_term(1, hl=mono.hl, hn=mono.hn, zexp=mono.zexp,
                               times=mono.times)
@@ -470,9 +466,9 @@ def basis_monomials(D, deg_max, p_max):
 
 def conjugation_sandwich_residuals(D, deg):
     """{"mismatch at <m>": thunk} over basis_monomials(D, deg, 2), each
-    thunk the sandwich residual of m; the thunks share one operator dict,
-    so Y and [A, Y] are built once per ring across them."""
-    ops = {}
+    thunk the sandwich residual of m; the thunks share one pair of
+    operators, _sandwich_ops(D)."""
+    ops = _sandwich_ops(D)
     return {"mismatch at %s" % mono:
             lambda mono=mono: conjugation_sandwich_residual(mono, D, _ops=ops)
             for mono in basis_monomials(D, deg, 2)}

@@ -208,9 +208,10 @@ def _read_graph(args) -> ColoredGraph:
 def _graph_degree(args) -> tuple[dict, str]:
     g = _read_graph(args)
     genera = {"-".join(map(str, j)): g.jacket_genus(j) for j in g.jackets()}
-    return ({"D": g.D, "white": g.k, "degree": g.gurau_degree(),
+    degree = sum(genera.values())       # the Gurau degree
+    return ({"D": g.D, "white": g.k, "degree": degree,
              "jacket_genera": genera},
-            "degree %d; jacket genera %s" % (g.gurau_degree(), genera))
+            "degree %d; jacket genera %s" % (degree, genera))
 
 
 def _graph_jackets(args) -> tuple[dict, str]:

@@ -190,8 +190,6 @@ class DiffOp(_Terms):
         scale = _as_coeff(scale)
         out = (series.copy() if admit is None
                else series.filter(lambda m: admit(m.hl, m.times)))
-        if scale.is_zero():
-            return out
         cur = out
         cap = 4 * (series.trunc.max_hl + series.trunc.max_time_deg) + 8
         k = 1

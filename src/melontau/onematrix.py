@@ -35,16 +35,13 @@ from .series import Monomial, Series, TruncSpec, USeries, letter_products
 from .wick import NPoly, hermitian_moment
 
 
-def _t0_factor(trunc, colour, nsize=None):
-    """exp(-N^2 t_0) as a series (concrete size if nsize given)."""
+def _t0_factor(trunc, colour):
+    """exp(-N^2 t_0) as a series at symbolic N (N^2 = sqrtN^4); eval_N
+    gives it at a concrete size."""
     s = Series(trunc)
     for k in range(trunc.max_time_deg + 1):
-        coeff = Fraction((-1) ** k, factorial(k))
-        times = (((colour, 0), k),) if k else ()
-        if nsize is None:
-            s.add_term(coeff, hn=4 * k, times=times)
-        else:
-            s.add_term(coeff * Fraction(nsize) ** (2 * k), times=times)
+        s.add_term(Fraction((-1) ** k, factorial(k)), hn=4 * k,
+                   times=(((colour, 0), k),) if k else ())
     return s
 
 
@@ -89,8 +86,8 @@ def onedim_gaussian_moment(m, nweight):
 
 def z1mm_hankel(trunc, colour, nsize):
     """Z at concrete size via N! det[m_{i+j}(t)] / (Gaussian point)."""
-    if nsize < 1:
-        raise ValueError("size must be >= 1")
+    if type(nsize) is not int or nsize < 1:
+        raise ValueError("size must be >= 1 and an int")
     rows = letter_products([(colour, p) for p in range(1, trunc.p_max + 1)],
                            trunc.max_time_deg, trunc.max_time_weight)
 
@@ -107,7 +104,7 @@ def z1mm_hankel(trunc, colour, nsize):
     det0 = _det([[onedim_gaussian_moment(i + j, nsize) for j in range(nsize)]
                  for i in range(nsize)], Fraction(1))
     return det.scale(Fraction(1, 1) / det0).mul(
-        _t0_factor(trunc, colour, nsize=nsize))
+        _t0_factor(trunc, colour).eval_N(nsize))
 
 
 def _det(rows, one):

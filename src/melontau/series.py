@@ -260,6 +260,9 @@ class TruncSpec:
         z_min, z_max = z_window
         if max_time_weight is None:
             max_time_weight = p_max * max_time_deg
+        caps = (max_hl, max_time_deg, p_max, z_min, z_max, max_time_weight)
+        if any(type(x) is not int for x in caps):   # bool refused too
+            raise ValueError("truncation caps must be ints")
         if (max_hl < 0 or max_time_deg < 0 or p_max < 0 or z_min > z_max
                 or max_time_weight < 0):
             raise ValueError("empty truncation box")
@@ -551,7 +554,7 @@ class Series(_Terms):
         Every term must carry an even sqrtN power; odd powers would need
         sqrt(n) and are refused.
         """
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("N must be a positive integer")
         s = Series(self.trunc)
         for m, c in self.terms.items():

@@ -86,6 +86,62 @@ def test_sandwich_wrong_closed_form_scale_fails(monkeypatch, D, sign):
                for m in basis_monomials(D, 2, 2))
 
 
+def _sandwich_boxes(monkeypatch, mono, D):
+    """The boxes conjugation_sandwich_residual(mono, D) runs _vertex on:
+    its ring t_L, then its comparison box t_R."""
+    boxes = []
+    vertex = bilinear._vertex
+
+    def recorded(s, sign, c, nsize, box, *args, **kwargs):
+        boxes.append(box)
+        return vertex(s, sign, c, nsize, box, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bilinear, "_vertex", recorded)
+        conjugation_sandwich_residual(mono, D)
+    return tuple(boxes)
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_sandwich_ops_are_those_of_every_sandwich_ring(monkeypatch, D):
+    # a run shares one Y and [A, Y]; they must be the operators each ring
+    # builds.  Both sides of the sandwich share Y, so its residual is
+    # blind to a Y with missing terms
+    Y, AY = bilinear._sandwich_ops(D)
+    rings = {_sandwich_boxes(monkeypatch, mono, D)
+             for mono in basis_monomials(D, 2, 2)}
+    assert len(rings) > 1
+    for t_L, t_R in rings:
+        assert build_Y(D, t_L).terms == Y.terms
+        assert closed_form_AY(D, 1, t_R).terms == AY.terms
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("D", [2, 3])
+def test_vertex_on_its_own_ring_is_the_operator_chain(monkeypatch, D, sign):
+    # the sandwich runs _vertex on a box equal to its ring, where _reach
+    # must admit every term: on t_L after e^{-Y}, and on t_R with and
+    # without the middle factor.  The sandwich's own inputs stay below the
+    # degree cap, so a term on the cap that B cannot strip is added
+    Y, AY = bilinear._sandwich_ops(D)
+    spread = Monomial(times=tuple(((c, c % 3), 1) for c in range(1, D + 1)))
+
+    def top(ring):
+        return Series(ring).add_term(
+            1, times=(((1, 0), 1), ((2, 1), ring.max_time_deg - 1)))
+
+    for mono in (Monomial(), Monomial(times=(((1, 2), 2),)), spread,
+                 Monomial(times=(((2, 0), 1), ((D, 2), 1)))):
+        t_L, t_R = _sandwich_boxes(monkeypatch, mono, D)
+        s_L = Y.apply_exp(Series(t_L).add_term(1, times=mono.times), -1)
+        s_R = Series(t_R).add_term(1, times=mono.times)
+        for s, middle in ((s_L, None), (top(t_L), None), (s_R, None),
+                          (s_R, AY), (top(t_R), None), (top(t_R), AY)):
+            got = bilinear._vertex(s, sign, 1, None, s.trunc, middle=middle)
+            want = _operator_vertex(s, sign, 1, None, s.trunc, middle=middle)
+            assert got.terms and got.serialize() == want.serialize(), mono
+
+
 @pytest.mark.parametrize("D, deg, p", [(2, 2, 2), (3, 2, 2), (3, 3, 1)])
 def test_basis_monomials_is_every_monomial_once(D, deg, p):
     # the monomials of degree <= deg in D(p+1) letters, the unit first

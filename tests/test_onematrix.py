@@ -46,6 +46,17 @@ def test_z1mm_wick_vs_hankel():
         assert sym == eig, n
 
 
+@pytest.mark.parametrize("colour", [1, 2])
+def test_t0_factor_at_a_concrete_size(colour):
+    # z1mm_hankel's prefactor: exp(-n^2 t[c,0]) = sum_k (-n^2)^k/k! t^k
+    for n in (1, 2, 3):
+        want = Series(T)
+        for k in range(T.max_time_deg + 1):
+            want.add_term(Fraction((-n * n) ** k, factorial(k)),
+                          times=(((colour, 0), k),) if k else ())
+        assert onematrix._t0_factor(T, colour).eval_N(n) == want, n
+
+
 def test_hankel_respects_weight_cap():
     t = TruncSpec(0, 4, 6, max_time_weight=6)
     for n in (1, 2):
@@ -203,6 +214,9 @@ def test_gaussian_norm_ratios():
             assert kn / k0 == Fraction(factorial(n), nweight ** n)
 
 
+_N_t11 = Series(T).add_term(1, hn=2, times=(((1, 1), 1),))     # N t[1,1]
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: z1mm_hankel(T, 1, 0), "size must be >= 1"),
     (lambda: virasoro_op(-2, T), "n >= -1"),
@@ -212,9 +226,24 @@ def test_gaussian_norm_ratios():
     (lambda: hirota_factor(0, 1, 1, 1, 2), "sign must be"),
     (lambda: tensor_vertex_factor(2, 2, 1, 1), "sign must be"),
     (lambda: tensor_vertex_factor(1, 2, 1, 1, 3), "1 <= c <= D"),
+    # sizes and caps must be ints: a float or a bool is refused, not
+    # truncated, taken as 1 or left to fail with a TypeError
+    (lambda: _N_t11.eval_N(1.5), "N must be a positive integer"),
+    (lambda: _N_t11.eval_N(True), "N must be a positive integer"),
+    (lambda: z1mm_series(TruncSpec(0, 2, 2), nsize=True), "an int"),
+    (lambda: z1mm_series(TruncSpec(0, 2, 2), nsize=1.5), "an int"),
+    (lambda: TruncSpec(0, 2.5, 2), "caps must be ints"),
+    (lambda: TruncSpec(True, 2, 2), "caps must be ints"),
+    (lambda: TruncSpec(0, 2, 2, (-1.0, 1)), "caps must be ints"),
+    (lambda: TruncSpec(0, 2, 2, max_time_weight=Fraction(2)),
+     "caps must be ints"),
 ], ids=["z1mm_hankel", "virasoro_op", "hermitian_moment",
         "hermitian_moment_bool", "eval_N", "hirota_factor_sign",
-        "tensor_vertex_factor_sign", "tensor_vertex_factor_colour"])
+        "tensor_vertex_factor_sign", "tensor_vertex_factor_colour",
+        "eval_N_float", "eval_N_bool", "z1mm_series_nsize_bool",
+        "z1mm_series_nsize_float", "TruncSpec_float_deg",
+        "TruncSpec_bool_hl", "TruncSpec_float_window",
+        "TruncSpec_fraction_weight"])
 def test_input_guards_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
